@@ -177,42 +177,42 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model_and_vocab(checkpoint_path: str):
-    model, vocab_tokens = CaptionModel.load_checkpoint(checkpoint_path)
+def _load_eval_inputs(args):
+    """Checkpoint, vocabulary, manifest and table of an eval or decode run.
+
+    The inputs are checked against each other before the output directory
+    is made; the run's ``run_config.json`` echoes them.
+    """
+    model, vocab_tokens = CaptionModel.load_checkpoint(args.checkpoint)
     if vocab_tokens is None:
-        raise ValidationError(f"{checkpoint_path}: checkpoint carries no vocabulary")
+        raise ValidationError(f"{args.checkpoint}: checkpoint carries no vocabulary")
     vocab = Vocabulary(vocab_tokens[4:])
     if vocab.id_to_token != list(vocab_tokens):
-        raise ValidationError(f"{checkpoint_path}: stored vocabulary is not in "
+        raise ValidationError(f"{args.checkpoint}: stored vocabulary is not in "
                               "canonical order")
-    return model, vocab
-
-
-def cmd_eval(args) -> int:
-    model, vocab = _load_model_and_vocab(args.checkpoint)
-    records = load_manifest(args.manifest)
-    if not records:
-        raise ValidationError(f"{args.manifest}: manifest holds no videos")
-    table = VocabEmbeddingTable.load(args.table)
-    rep = evaluate(model, records, table, vocab, max_len=args.max_len)
-    out = _ensure_out(args.out)
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(rep, fh, indent=2)
-    _write_run_config(out, "eval", model.config.seed, {
-        "checkpoint": args.checkpoint, "manifest": args.manifest,
-        "table": args.table, "max_len": args.max_len})
-    print(json.dumps(rep, indent=2))
-    return 0
-
-
-def cmd_decode(args) -> int:
-    model, vocab = _load_model_and_vocab(args.checkpoint)
     records = load_manifest(args.manifest)
     if not records:
         raise ValidationError(f"{args.manifest}: manifest holds no videos")
     table = VocabEmbeddingTable.load(args.table)
     model.check_table(table, vocab)
     out = _ensure_out(args.out)
+    _write_run_config(out, args.subcommand, model.config.seed, {
+        "checkpoint": args.checkpoint, "manifest": args.manifest,
+        "table": args.table, "max_len": args.max_len})
+    return model, vocab, records, table, out
+
+
+def cmd_eval(args) -> int:
+    model, vocab, records, table, out = _load_eval_inputs(args)
+    rep = evaluate(model, records, table, vocab, max_len=args.max_len)
+    with open(os.path.join(out, "report.json"), "w") as fh:
+        json.dump(rep, fh, indent=2)
+    print(json.dumps(rep, indent=2))
+    return 0
+
+
+def cmd_decode(args) -> int:
+    model, vocab, records, table, out = _load_eval_inputs(args)
     path = os.path.join(out, "decoded.jsonl")
     with open(path, "w") as fh:
         for rec in records:
@@ -220,9 +220,6 @@ def cmd_decode(args) -> int:
             sentences = [detokenize(vocab.decode(line)) for line in ids]
             fh.write(json.dumps({"video_id": rec.video_id,
                                  "sentences": sentences}) + "\n")
-    _write_run_config(out, "decode", model.config.seed, {
-        "checkpoint": args.checkpoint, "manifest": args.manifest,
-        "table": args.table, "max_len": args.max_len})
     print(f"wrote paragraphs for {len(records)} videos to {path}")
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,8 +225,27 @@ def _field(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _check_snippet(snippet: SnippetInput, widths: dict):
+    """Reject non-finite features and widths that differ from earlier snippets.
+
+    ``widths`` maps each field to its width in the file's first snippet; an
+    empty agents list carries no width.
+    """
+    for name in ("env", "agents", "frame"):
+        values = getattr(snippet, name)
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{name} holds a non-finite value")
+        if name == "agents" and values.shape[0] == 0:
+            continue
+        width = widths.setdefault(name, values.shape[-1])
+        if values.shape[-1] != width:
+            raise ValidationError(f"{name} has width {values.shape[-1]}, "
+                                  f"earlier snippets have {width}")
+
+
 def load_manifest(path: str) -> list:
     records = []
+    widths = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -261,10 +280,11 @@ def load_manifest(path: str) -> list:
                         agents = np.asarray(raw_agents, dtype=np.float64)
                         if agents.ndim == 1 and agents.size == 0:
                             agents = agents.reshape(0, 0)
-                        snippets.append(SnippetInput(env=raw_env, agents=agents,
-                                                     frame=raw_frame))
+                        snippet = SnippetInput(env=raw_env, agents=agents, frame=raw_frame)
+                        _check_snippet(snippet, widths)
                     except (TypeError, ValueError) as exc:
                         raise ValidationError(f"{swhere}: {exc}") from None
+                    snippets.append(snippet)
                 begin = _field(rev, "begin", ewhere)
                 end = _field(rev, "end", ewhere)
                 caption = _field(rev, "caption", ewhere)

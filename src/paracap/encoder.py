@@ -12,7 +12,7 @@ mixed by a small self-attention block into the final snippet vector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,6 +67,10 @@ class VocabEmbeddingTable:
         self.text_features = np.asarray(self.text_features, dtype=np.float64)
         self.w_text = np.asarray(self.w_text, dtype=np.float64)
         self.w_image = np.asarray(self.w_image, dtype=np.float64)
+        for key, values in (("text_features", self.text_features), ("W_t", self.w_text),
+                            ("W_i", self.w_image)):
+            if not np.isfinite(values).all():
+                raise ValidationError(f"{key} holds a non-finite value")
         if self.text_features.ndim != 2:
             raise ValidationError(f"text_features must be (m, d), got {self.text_features.shape}")
         if len(self.tokens) != self.text_features.shape[0]:
@@ -109,10 +113,13 @@ class VocabEmbeddingTable:
         for key in ("tokens", "text_features", "W_t", "W_i"):
             if key not in payload:
                 raise ValidationError(f"{path}: missing key {key!r}")
-        return cls(tokens=payload["tokens"],
-                   text_features=payload["text_features"],
-                   w_text=payload["W_t"],
-                   w_image=payload["W_i"])
+        try:
+            return cls(tokens=payload["tokens"],
+                       text_features=payload["text_features"],
+                       w_text=payload["W_t"],
+                       w_image=payload["W_i"])
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 def select_scene_elements(frame: np.ndarray, table: VocabEmbeddingTable, k: int):

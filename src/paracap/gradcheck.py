@@ -2,7 +2,7 @@
 check of the combined training loss on a tiny configuration.
 
 Random inputs are sampled away from the nonsmooth points of each
-primitive (relu and clamp kinks, norm origins, selection thresholds), so
+primitive (clamp kinks, norm origins, selection thresholds), so
 a central difference with h=1e-5 is a trustworthy reference.
 """
 
@@ -78,11 +78,6 @@ def _primitive_cases():
         x = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         return lambda x: T.tsum(T.matmul(a, x) * w), x
 
-    def case_dot(rng):
-        y = Tensor(rng.normal(size=(6,)))
-        x = Tensor(rng.normal(size=(6,)), requires_grad=True)
-        return lambda x: T.dot(x, y) + 0.5 * T.dot(x, x), x
-
     def case_transpose(rng):
         w = _weights(rng, (4, 3))
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -141,20 +136,10 @@ def _primitive_cases():
         x = Tensor(rng.uniform(0.4, 2.0, size=(4,)), requires_grad=True)
         return lambda x: T.tsum(T.tlog(x) * w), x
 
-    def case_sigmoid(rng):
-        w = _weights(rng, (5,))
-        x = Tensor(rng.normal(size=(5,)), requires_grad=True)
-        return lambda x: T.tsum(T.sigmoid(x) * w), x
-
     def case_log_sigmoid(rng):
         w = _weights(rng, (5,))
         x = Tensor(rng.normal(size=(5,)), requires_grad=True)
         return lambda x: T.tsum(T.log_sigmoid(x) * w), x
-
-    def case_relu(rng):
-        w = _weights(rng, (3, 4))
-        x = Tensor(_away_from_zero(rng, (3, 4)), requires_grad=True)
-        return lambda x: T.tsum(T.relu(x) * w), x
 
     def case_gelu(rng):
         w = _weights(rng, (3, 4))

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .data import PAD_ID
 from .errors import NumericalError, ShapeError, ValidationError
 from .tensor import Tensor
 
@@ -32,8 +33,7 @@ class LossConfig:
             raise ValidationError(f"prob_floor must be in (0, 1), got {self.prob_floor}")
 
 
-def smoothed_cross_entropy(logits: Tensor, targets, smoothing: float,
-                           pad_id: int = 0) -> Tensor:
+def smoothed_cross_entropy(logits: Tensor, targets, smoothing: float) -> Tensor:
     """Label-smoothed cross-entropy, averaged over non-pad target positions.
 
     The smoothing mass is spread over the vocabulary minus the pad class,
@@ -48,14 +48,14 @@ def smoothed_cross_entropy(logits: Tensor, targets, smoothing: float,
         raise ShapeError(f"need at least 2 classes, got {v}")
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise ValidationError(f"target id out of range [0, {v})")
-    valid = targets != pad_id
+    valid = targets != PAD_ID
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise ValidationError("all target positions are padding")
     q = np.zeros((n, v))
     k = v - 1
     q[valid] = smoothing / k
-    q[valid, pad_id] = 0.0
+    q[valid, PAD_ID] = 0.0
     q[np.flatnonzero(valid), targets[valid]] += 1.0 - smoothing
     lp = T.log_softmax(logits, axis=1)
     return -T.tsum(Tensor(q) * lp) / float(n_valid)
@@ -87,24 +87,15 @@ def repetition_penalty(probs: Tensor, targets, excludes=(0, 1, 2),
     return -T.tsum(Tensor(mask) * T.tlog(inv)) / float(n)
 
 
-def captioning_loss(logits: Tensor, targets, cfg: LossConfig, pad_id: int = 0):
+def captioning_loss(logits: Tensor, targets, cfg: LossConfig):
     """Smoothed cross-entropy plus the weighted repetition penalty.
 
     Returns ``(total, ce, tau)`` so training can log the parts separately.
     """
-    ce = smoothed_cross_entropy(logits, targets, cfg.label_smoothing, pad_id)
+    ce = smoothed_cross_entropy(logits, targets, cfg.label_smoothing)
     tau = repetition_penalty(T.softmax(logits, axis=1), targets,
                              cfg.penalty_excludes, cfg.prob_floor)
     return ce + tau * cfg.lam, ce, tau
-
-
-@dataclass
-class ContrastiveBatch:
-    """Aligned event and caption embedding stacks plus the temperature scalar."""
-
-    event_embeddings: Tensor
-    caption_embeddings: Tensor
-    rho: Tensor
 
 
 def normalize_rows(x: Tensor) -> Tensor:
@@ -139,17 +130,3 @@ def contrastive_loss(event_embeddings: Tensor, caption_embeddings: Tensor,
     neg = Tensor(1.0 - eye) * negz
     return -T.tsum(pos + neg) / float(b * b)
 
-
-def combined_loss(logits: Tensor, targets, batch, cfg: LossConfig, pad_id: int = 0):
-    """Combined objective for one event: captioning plus batch alignment.
-
-    ``batch`` may be None (or contrastive disabled in the config), leaving
-    the captioning part alone. Returns ``(total, ce, tau, con)`` with
-    ``con`` None when unused.
-    """
-    total, ce, tau = captioning_loss(logits, targets, cfg, pad_id)
-    con = None
-    if cfg.use_contrastive and batch is not None:
-        con = contrastive_loss(batch.event_embeddings, batch.caption_embeddings, batch.rho)
-        total = total + con
-    return total, ce, tau, con

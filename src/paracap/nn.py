@@ -24,30 +24,24 @@ def _init(rng: np.random.Generator, shape) -> Tensor:
 class Linear:
     """Affine map y = x W + b for 1-D or 2-D inputs."""
 
-    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, bias: bool = True):
+    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int):
         self.d_in = d_in
         self.d_out = d_out
         self.w = _init(rng, (d_in, d_out))
-        self.b = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
+        self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim == 1:
             if x.shape != (self.d_in,):
                 raise ShapeError(f"linear expects ({self.d_in},), got {x.shape}")
-            out = T.matmul(T.reshape(x, (1, self.d_in)), self.w)
-            if self.b is not None:
-                out = out + self.b
+            out = T.matmul(T.reshape(x, (1, self.d_in)), self.w) + self.b
             return T.reshape(out, (self.d_out,))
         if x.ndim != 2 or x.shape[1] != self.d_in:
             raise ShapeError(f"linear expects (*, {self.d_in}), got {x.shape}")
-        out = T.matmul(x, self.w)
-        return out + self.b if self.b is not None else out
+        return T.matmul(x, self.w) + self.b
 
     def params(self) -> dict:
-        p = {"w": self.w}
-        if self.b is not None:
-            p["b"] = self.b
-        return p
+        return {"w": self.w, "b": self.b}
 
 
 class MLP:
@@ -74,7 +68,7 @@ class LayerNorm:
         self.bias = Tensor(np.zeros(d), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias, axis=-1)
+        return T.layer_norm(x, self.gain, self.bias)
 
     def params(self) -> dict:
         return {"gain": self.gain, "bias": self.bias}

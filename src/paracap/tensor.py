@@ -19,7 +19,6 @@ thread-local.
 
 from __future__ import annotations
 
-import itertools
 import threading
 
 import numpy as np
@@ -30,7 +29,6 @@ from .errors import NumericalError, ShapeError
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 
-_node_ids = itertools.count()
 _state = threading.local()
 
 
@@ -59,14 +57,13 @@ class Tensor:
     gradient contributions.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "node_id", "op", "parents", "_backward")
+    __slots__ = ("values", "grad", "requires_grad", "op", "parents", "_backward")
 
     def __init__(self, values, requires_grad: bool = False, op: str = "leaf",
                  parents: tuple = (), backward=None):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.node_id = next(_node_ids)
         self.op = op
         self.parents = parents
         self._backward = backward
@@ -85,13 +82,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.values)
-
-    def detach(self) -> "Tensor":
-        """Copy of the values as a fresh constant leaf."""
-        return Tensor(self.values.copy())
-
-    def backward(self):
-        backward(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, op={self.op!r})"
@@ -268,19 +258,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, "matmul", (a, b), bw)
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"dot needs equal-length vectors, got {a.shape} and {b.shape}")
-    out = a.values @ b.values
-
-    def bw(g, a=a, b=b):
-        _accum(a, g * b.values)
-        _accum(b, g * a.values)
-
-    return _make(out, "dot", (a, b), bw)
-
-
 def transpose(a: Tensor) -> Tensor:
     a = _wrap(a)
     if a.ndim != 2:
@@ -356,37 +333,27 @@ def take_rows(a: Tensor, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 # reductions
 
-def _norm_axis(a: Tensor, axis: int) -> int:
-    return axis if axis >= 0 else a.ndim + axis
-
-
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     out = a.values.sum(axis=axis, keepdims=keepdims)
 
     def bw(g, a=a, axis=axis, keepdims=keepdims):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.values.shape).copy())
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.values.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.values.shape).copy())
 
     return _make(out, "sum", (a,), bw)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
-    count = a.values.size if axis is None else a.values.shape[_norm_axis(a, axis)]
+    count = a.values.size if axis is None else a.values.shape[axis]
     out = a.values.mean(axis=axis, keepdims=keepdims)
 
     def bw(g, a=a, axis=axis, keepdims=keepdims, count=count):
-        if axis is None:
-            _accum(a, np.broadcast_to(g / count, a.values.shape).copy())
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g / count, a.values.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g / count, a.values.shape).copy())
 
     return _make(out, "mean", (a,), bw)
 
@@ -431,16 +398,6 @@ def tlog(a: Tensor) -> Tensor:
     return _make(np.log(a.values), "log", (a,), bw)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    out = expit(a.values)
-
-    def bw(g, a=a, out=out):
-        _accum(a, g * out * (1.0 - out))
-
-    return _make(out, "sigmoid", (a,), bw)
-
-
 def log_sigmoid(a: Tensor) -> Tensor:
     """log(sigmoid(x)) computed without overflow for large |x|."""
     a = _wrap(a)
@@ -450,15 +407,6 @@ def log_sigmoid(a: Tensor) -> Tensor:
         _accum(a, g * expit(-a.values))
 
     return _make(out, "log_sigmoid", (a,), bw)
-
-
-def relu(a: Tensor) -> Tensor:
-    a = _wrap(a)
-
-    def bw(g, a=a):
-        _accum(a, g * (a.values > 0.0))
-
-    return _make(np.maximum(a.values, 0.0), "relu", (a,), bw)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -517,35 +465,31 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, "log_softmax", (a,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, axis: int = -1,
-               eps: float = 1e-5) -> Tensor:
-    """Normalize to zero mean / unit population variance along ``axis``, then affine.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize to zero mean / unit population variance along the last axis, then affine.
 
-    ``gain`` and ``bias`` are vectors with the extent of ``axis``.
+    ``gain`` and ``bias`` are vectors with the extent of the last axis.
     """
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    ax = _norm_axis(x, axis)
-    n = x.values.shape[ax]
+    n = x.values.shape[-1]
     if n < 2:
         raise ShapeError(f"layer_norm axis extent must be >= 2, got {n}")
     if gain.values.shape != (n,) or bias.values.shape != (n,):
         raise ShapeError(f"layer_norm affine shapes {gain.values.shape}/{bias.values.shape} "
                          f"do not match axis extent {n}")
-    mu = x.values.mean(axis=ax, keepdims=True)
-    var = x.values.var(axis=ax, keepdims=True)
+    mu = x.values.mean(axis=-1, keepdims=True)
+    var = x.values.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.values - mu) * inv
-    bshape = [1] * x.ndim
-    bshape[ax] = n
-    out = xhat * gain.values.reshape(bshape) + bias.values.reshape(bshape)
+    out = xhat * gain.values + bias.values
 
-    def bw(g, x=x, gain=gain, bias=bias, ax=ax, inv=inv, xhat=xhat, bshape=bshape):
-        reduce_axes = tuple(i for i in range(g.ndim) if i != ax)
+    def bw(g, x=x, gain=gain, bias=bias, inv=inv, xhat=xhat):
+        reduce_axes = tuple(range(g.ndim - 1))
         _accum(gain, (g * xhat).sum(axis=reduce_axes))
         _accum(bias, g.sum(axis=reduce_axes))
-        dxhat = g * gain.values.reshape(bshape)
-        m1 = dxhat.mean(axis=ax, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=ax, keepdims=True)
+        dxhat = g * gain.values
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         _accum(x, inv * (dxhat - m1 - xhat * m2))
 
     return _make(out, "layer_norm", (x, gain, bias), bw)

@@ -194,20 +194,6 @@ def train(model, records, table, vocab, cfg: TrainConfig, loss_cfg: L.LossConfig
     return history
 
 
-def teacher_forced_accuracy(model, records, table, vocab) -> float:
-    """Fraction of target positions whose argmax logit is the target token."""
-    if not records:
-        raise ValidationError("cannot score an empty dataset")
-    correct = total = 0
-    with T.no_grad():
-        for rec in records:
-            fwd = model.forward_video(rec, table, vocab)
-            for logits, targets in zip(fwd.logits, fwd.targets):
-                correct += int((logits.values.argmax(axis=1) == targets).sum())
-                total += targets.size
-    return correct / total
-
-
 def decode_pairs(model, records, table, vocab, max_len: int = None) -> list:
     """Greedy-decode every video into metric-ready paragraph pairs."""
     if not records:

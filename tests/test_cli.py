@@ -191,6 +191,19 @@ class TestTrain:
                      "--out", str(tmp_path / "run")]) == 1
         assert "file not found" in capsys.readouterr().err
 
+    def test_non_finite_manifest_value_is_rejected(self, data_dir, tmp_path,
+                                                   capsys):
+        lines = (data_dir / "train.jsonl").read_text().splitlines()
+        video = json.loads(lines[1])
+        video["events"][0]["snippets"][1]["frame"][0] = float("nan")
+        lines[1] = json.dumps(video)
+        manifest = tmp_path / "nan.jsonl"
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--manifest", str(manifest),
+                     "--table", str(data_dir / "table.json"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "nan.jsonl:2 event 0 snippet 1: frame" in capsys.readouterr().err
+
     def test_empty_manifest_is_rejected(self, data_dir, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

@@ -382,6 +382,17 @@ class TestManifest:
                 agents=[[1.0], [1.0, 2.0]]))
         with pytest.raises(ValidationError, match=r"bad\.jsonl:1 event 0 snippet 0"):
             load_manifest(str(path))
+        # a second snippet whose widths differ from the first one's, or that
+        # holds a non-finite value, is named too instead of failing in training
+        for fields in (dict(env=[1.0, 2.0, 3.0]), dict(agents=[[0.5, -0.5]]),
+                       dict(frame=[0.25, 0.5]), dict(frame=[float("nan")]),
+                       dict(env=[1.0, float("inf")]),
+                       dict(agents=[[0.5, float("-inf"), 1.5]])):
+            path = self.broken(tmp_path, lambda o: o["events"][0]["snippets"].append(
+                dict(o["events"][0]["snippets"][0], **fields)))
+            with pytest.raises(ValidationError,
+                               match=r"bad\.jsonl:1 event 0 snippet 1: (env|agents|frame) "):
+                load_manifest(path)
 
     def test_end_before_begin_names_the_event(self, tmp_path):
         path = self.broken(tmp_path, lambda o: o["events"][0].update(begin=9.0))
@@ -390,8 +401,11 @@ class TestManifest:
 
     def test_empty_agents_list_round_trips(self, tmp_path):
         obj = self.payload()
-        obj["events"][0]["snippets"][0]["agents"] = []
+        first = obj["events"][0]["snippets"][0]
+        # an empty list carries no agent width, before or after one that does
+        obj["events"][0]["snippets"] = [dict(first, agents=[]), first,
+                                        dict(first, agents=[])]
         path = tmp_path / "noagents.jsonl"
         path.write_text(json.dumps(obj) + "\n")
         [rec] = load_manifest(str(path))
-        assert rec.events[0].snippets[0].agents.shape[0] == 0
+        assert [sn.agents.shape[0] for sn in rec.events[0].snippets] == [0, 1, 0]

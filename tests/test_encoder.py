@@ -229,6 +229,19 @@ class TestEmbeddingTable:
         payload = json.loads(path.read_text())
         assert set(payload) == {"tokens", "text_features", "W_t", "W_i"}
 
+    def test_non_finite_values_rejected_with_the_file(self, tmp_path):
+        table = VocabEmbeddingTable(tokens=["a", "b"], text_features=np.ones((2, 2)),
+                                    w_text=np.eye(2), w_image=np.eye(2))
+        path = tmp_path / "table.json"
+        for key in ("text_features", "W_t", "W_i"):
+            table.save(str(path))
+            payload = json.loads(path.read_text())
+            payload[key][1][0] = float("nan")
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValidationError,
+                               match=rf"table\.json: {key} holds a non-finite value"):
+                VocabEmbeddingTable.load(str(path))
+
     def test_mismatched_rows_rejected(self):
         with pytest.raises(ValidationError):
             VocabEmbeddingTable(tokens=["a", "b"], text_features=np.ones((3, 2)),

@@ -6,10 +6,9 @@ import pytest
 import oracles
 from paracap import tensor as T
 from paracap.errors import NumericalError, ShapeError, ValidationError
-from paracap.losses import (ContrastiveBatch, LossConfig, captioning_loss,
-                            contrastive_loss, normalize_rows,
-                            repetition_penalty, smoothed_cross_entropy,
-                            combined_loss)
+from paracap.losses import (LossConfig, captioning_loss, contrastive_loss,
+                            normalize_rows, repetition_penalty,
+                            smoothed_cross_entropy)
 from paracap.tensor import Tensor
 
 
@@ -226,44 +225,3 @@ class TestContrastiveLoss:
             lambda x: contrastive_loss(e, c, T.reshape(x, ())), r)
         assert err <= 1e-6
 
-
-class TestVlLoss:
-    def make_parts(self, rng):
-        logits = Tensor(rng.normal(size=(4, 6)))
-        targets = [3, 4, 5, 2]
-        batch = ContrastiveBatch(
-            event_embeddings=Tensor(rng.normal(size=(2, 5))),
-            caption_embeddings=Tensor(rng.normal(size=(2, 5))),
-            rho=Tensor(np.asarray(0.3)))
-        return logits, targets, batch
-
-    def test_disabled_contrastive_leaves_captioning_alone(self, rng):
-        logits, targets, batch = self.make_parts(rng)
-        cfg = LossConfig(use_contrastive=False)
-        total, ce, tau, con = combined_loss(logits, targets, batch, cfg)
-        assert con is None
-        want, _, _ = captioning_loss(logits, targets, cfg)
-        assert total.item() == want.item()
-
-    def test_missing_batch_behaves_like_disabled(self, rng):
-        logits, targets, _ = self.make_parts(rng)
-        cfg = LossConfig()
-        total, _, _, con = combined_loss(logits, targets, None, cfg)
-        assert con is None
-        want, _, _ = captioning_loss(logits, targets, cfg)
-        assert total.item() == want.item()
-
-    def test_total_sums_all_components(self, rng):
-        logits, targets, batch = self.make_parts(rng)
-        cfg = LossConfig(lam=0.2)
-        total, ce, tau, con = combined_loss(logits, targets, batch, cfg)
-        assert con is not None
-        assert total.item() == (ce.item() + tau.item() * 0.2) + con.item()
-
-    def test_components_are_positive(self, rng):
-        logits, targets, batch = self.make_parts(rng)
-        total, ce, tau, con = combined_loss(logits, targets, batch, LossConfig())
-        assert ce.item() > 0.0
-        assert tau.item() >= 0.0
-        assert con.item() > 0.0
-        assert total.item() > 0.0

@@ -12,8 +12,7 @@ from paracap.errors import NumericalError, ValidationError
 from paracap.losses import LossConfig
 from paracap.tensor import Tensor
 from paracap.training import (AdamState, TrainConfig, adam_step,
-                              clip_gradients, decode_pairs, evaluate,
-                              teacher_forced_accuracy, train)
+                              clip_gradients, decode_pairs, evaluate, train)
 
 
 class TestTrainConfig:
@@ -215,16 +214,6 @@ class TestTrainLoop:
 
 
 class TestEvaluation:
-    def test_teacher_forced_accuracy_in_unit_interval(self, tiny_setup):
-        corpus, vocab, model = tiny_setup
-        acc = teacher_forced_accuracy(model, corpus.train, corpus.table, vocab)
-        assert 0.0 <= acc <= 1.0
-
-    def test_teacher_forced_accuracy_rejects_empty(self, tiny_setup):
-        corpus, vocab, model = tiny_setup
-        with pytest.raises(ValidationError):
-            teacher_forced_accuracy(model, [], corpus.table, vocab)
-
     def test_decode_pairs_reference_is_the_tokenized_caption(self, tiny_setup):
         corpus, vocab, model = tiny_setup
         pairs = decode_pairs(model, corpus.train, corpus.table, vocab,
