@@ -20,11 +20,11 @@ from dataclasses import asdict
 from . import gradcheck
 from .data import (SyntheticWorldSpec, Vocabulary, build_vocab, detokenize,
                    generate_synthetic, load_manifest, save_manifest, tokenize)
-from .encoder import MODALITIES, VocabEmbeddingTable
+from .encoder import VocabEmbeddingTable
 from .errors import NumericalError, ShapeError, ValidationError
 from .losses import LossConfig
 from .model import CaptionModel, ModelConfig
-from .training import TrainConfig, evaluate, train
+from .training import TrainConfig, decode_pairs, evaluate, train
 
 SCHEMA_VERSION = 1
 
@@ -67,29 +67,11 @@ def _ensure_out(path: str) -> str:
     return path
 
 
-def _parse_modalities(text):
-    if text is None:
-        return None
-    mods = tuple(m.strip() for m in text.split(",") if m.strip())
-    bad = [m for m in mods if m not in MODALITIES]
-    if bad:
-        raise ValidationError(f"unknown modalities {bad}; choose from {MODALITIES}")
-    if not mods:
-        raise ValidationError("at least one modality is required")
-    return mods
-
-
 def _infer_dims(records) -> dict:
-    first = records[0].events[0].snippets[0]
-    d_agent = 1
-    for rec in records:
-        for ev in rec.events:
-            for sn in ev.snippets:
-                if sn.agents.shape[0] > 0:
-                    d_agent = sn.agents.shape[1]
-                    break
-    return {"d_env": first.env.shape[0], "d_agent": d_agent,
-            "d_frame": first.frame.shape[0]}
+    snippets = [sn for rec in records for ev in rec.events for sn in ev.snippets]
+    d_agent = next((sn.agents.shape[1] for sn in snippets if sn.agents.shape[0] > 0), 1)
+    return {"d_env": snippets[0].env.shape[0], "d_agent": d_agent,
+            "d_frame": snippets[0].frame.shape[0]}
 
 
 def _max_rows_needed(records, vocab: Vocabulary, max_len: int) -> int:
@@ -136,7 +118,9 @@ def cmd_train(args) -> int:
     if args.max_len is not None:
         model_section["max_len"] = args.max_len
     if args.modalities is not None:
-        model_section["modalities"] = _parse_modalities(args.modalities)
+        # the encoder rejects unknown names and an empty list
+        model_section["modalities"] = [m.strip() for m in args.modalities.split(",")
+                                       if m.strip()]
     if args.seed is not None:
         model_section["seed"] = args.seed
     probe_max_len = model_section.get("max_len", 16)
@@ -153,9 +137,9 @@ def cmd_train(args) -> int:
         loss_section["use_contrastive"] = args.loss == "combined"
     loss_cfg = _build_dataclass(LossConfig, loss_section, "loss config")
 
-    out = _ensure_out(args.out)
     model = CaptionModel(model_cfg)
     model.check_table(table, vocab)
+    out = _ensure_out(args.out)
     ckpt_path = os.path.join(out, "checkpoint.json")
     effective = {
         "model": dict(asdict(model_cfg), modalities=list(model_cfg.modalities)),
@@ -213,11 +197,11 @@ def cmd_eval(args) -> int:
 
 def cmd_decode(args) -> int:
     model, vocab, records, table, out = _load_eval_inputs(args)
+    pairs = decode_pairs(model, records, table, vocab, args.max_len)
     path = os.path.join(out, "decoded.jsonl")
     with open(path, "w") as fh:
-        for rec in records:
-            ids = model.decode_video(rec, table, args.max_len)
-            sentences = [detokenize(vocab.decode(line)) for line in ids]
+        for rec, pair in zip(records, pairs):
+            sentences = [detokenize(hyp) for hyp in pair.hyps]
             fh.write(json.dumps({"video_id": rec.video_id,
                                  "sentences": sentences}) + "\n")
     print(f"wrote paragraphs for {len(records)} videos to {path}")
@@ -262,21 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="scene elements retrieved per snippet")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a checkpoint against a manifest")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--table", required=True)
-    p.add_argument("--max-len", type=int)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("decode", help="write greedy captions for a manifest")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--table", required=True)
-    p.add_argument("--max-len", type=int)
-    p.set_defaults(func=cmd_decode)
+    for name, func, help_text in (
+            ("eval", cmd_eval, "score a checkpoint against a manifest"),
+            ("decode", cmd_decode, "write greedy captions for a manifest")):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--table", required=True)
+        p.add_argument("--max-len", type=int)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("gradcheck", help="run the finite-difference suites")
     p.add_argument("--config", help="JSON config file")

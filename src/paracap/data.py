@@ -82,6 +82,9 @@ class EventRecord:
     def __post_init__(self):
         self.begin = float(self.begin)
         self.end = float(self.end)
+        if not (np.isfinite(self.begin) and np.isfinite(self.end)):
+            raise ValidationError(f"event times must be finite, got begin {self.begin}, "
+                                  f"end {self.end}")
         if self.end < self.begin:
             raise ValidationError(f"event ends ({self.end}) before it begins ({self.begin})")
         if not self.snippets:

@@ -101,7 +101,7 @@ class VocabEmbeddingTable:
             "W_i": self.w_image.tolist(),
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
 
     @classmethod
     def load(cls, path: str) -> "VocabEmbeddingTable":
@@ -110,6 +110,8 @@ class VocabEmbeddingTable:
                 payload = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+        if not isinstance(payload, dict):
+            raise ValidationError(f"{path}: table must be a JSON object")
         for key in ("tokens", "text_features", "W_t", "W_i"):
             if key not in payload:
                 raise ValidationError(f"{path}: missing key {key!r}")
@@ -212,7 +214,7 @@ class SnippetEncoder:
         self.attn = SelfAttention(rng, d_emb)
 
     def encode_environment(self, env: np.ndarray) -> Tensor:
-        return self.env_mlp(Tensor(env))
+        return T.reshape(self.env_mlp(Tensor(env.reshape(1, -1))), (self.d_emb,))
 
     def encode_agents(self, agents: np.ndarray, f_env: Tensor) -> Tensor:
         if agents.shape[0] == 0:

@@ -102,44 +102,27 @@ def rouge_l(pairs) -> float:
     return float(np.mean(video_scores))
 
 
-def _distinct_ratio_terms(tokens, n: int):
-    grams = _ngrams(tokens, n)
-    total = sum(grams.values())
-    return len(grams), total
+def _paragraph_scores(pairs, n: int, score):
+    """Mean over videos of ``score(distinct, total)`` for each hypothesis
+    paragraph's n-grams. Paragraphs under n tokens are skipped and counted.
+    Returns ``(mean or None, n_skipped)``."""
+    vals = []
+    for pair in pairs:
+        grams = _ngrams(pair.hyp_paragraph, n)
+        if grams:
+            vals.append(score(len(grams), sum(grams.values())))
+    return (float(np.mean(vals)) if vals else None), len(pairs) - len(vals)
 
 
 def div2(pairs):
-    """Distinct-bigram ratio of each hypothesis paragraph, mean over videos.
-
-    Paragraphs under 2 tokens cannot form a bigram; they are skipped and
-    counted. Returns ``(score or None, n_skipped)``.
-    """
-    vals = []
-    skipped = 0
-    for pair in pairs:
-        distinct, total = _distinct_ratio_terms(pair.hyp_paragraph, 2)
-        if total == 0:
-            skipped += 1
-            continue
-        vals.append(distinct / total)
-    return (float(np.mean(vals)) if vals else None), skipped
+    """Distinct-bigram ratio of each hypothesis paragraph, mean over videos."""
+    return _paragraph_scores(pairs, 2, lambda distinct, total: distinct / total)
 
 
 def rep4(pairs):
-    """Repeated-4-gram ratio of each hypothesis paragraph, mean over videos.
-
-    Paragraphs under 4 tokens are skipped and counted. Returns
-    ``(score or None, n_skipped)``.
-    """
-    vals = []
-    skipped = 0
-    for pair in pairs:
-        distinct, total = _distinct_ratio_terms(pair.hyp_paragraph, 4)
-        if total == 0:
-            skipped += 1
-            continue
-        vals.append((total - distinct) / total)
-    return (float(np.mean(vals)) if vals else None), skipped
+    """Repeated-4-gram ratio of each hypothesis paragraph, mean over videos."""
+    return _paragraph_scores(pairs, 4,
+                             lambda distinct, total: (total - distinct) / total)
 
 
 def report(pairs) -> dict:

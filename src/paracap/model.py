@@ -19,7 +19,7 @@ from .decoder import CaptionDecoder, EventMemory, greedy_decode
 from .encoder import MODALITIES, SnippetEncoder, VocabEmbeddingTable
 from .errors import ShapeError, ValidationError
 from .losses import RHO_INIT
-from .nn import MLP, Embedding
+from .nn import MLP, Embedding, collect_params
 from .tensor import Tensor
 
 CHECKPOINT_VERSION = 1
@@ -84,12 +84,10 @@ class CaptionModel:
         self.rho = Tensor(np.array(RHO_INIT), requires_grad=True)
 
     def named_params(self) -> dict:
-        out = {"word_embed.table": self.word_embed.table,
-               "caption_word_embed.table": self.caption_word_embed.table}
-        for prefix, mod in (("encoder", self.encoder), ("decoder", self.decoder),
-                            ("caption_mlp", self.caption_mlp)):
-            for k, v in mod.params().items():
-                out[f"{prefix}.{k}"] = v
+        out = collect_params([("word_embed", self.word_embed),
+                              ("caption_word_embed", self.caption_word_embed),
+                              ("encoder", self.encoder), ("decoder", self.decoder),
+                              ("caption_mlp", self.caption_mlp)])
         out["rho"] = self.rho
         return out
 
@@ -104,7 +102,8 @@ class CaptionModel:
         if len(token_ids) == 0:
             raise ValidationError("cannot embed an empty caption")
         rows = self.caption_word_embed(token_ids)
-        return self.caption_mlp(T.tmean(rows, axis=0))
+        row = T.tmean(rows, axis=0, keepdims=True)
+        return T.reshape(self.caption_mlp(row), (self.config.d_emb,))
 
     def forward_video(self, record, table: VocabEmbeddingTable,
                       vocab: Vocabulary) -> VideoForward:
@@ -168,7 +167,7 @@ class CaptionModel:
         if vocab_tokens is not None:
             payload["config"]["vocab_tokens"] = list(vocab_tokens)
         with open(path, "w") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
 
     @classmethod
     def load_checkpoint(cls, path: str):
@@ -178,9 +177,14 @@ class CaptionModel:
                 payload = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+        if not isinstance(payload, dict):
+            raise ValidationError(f"{path}: checkpoint must be a JSON object")
         for key in ("format_version", "config", "params"):
             if key not in payload:
                 raise ValidationError(f"{path}: missing key {key!r}")
+        for key in ("config", "params"):
+            if not isinstance(payload[key], dict):
+                raise ValidationError(f"{path}: {key} must be a JSON object")
         if payload["format_version"] != CHECKPOINT_VERSION:
             raise ValidationError(f"{path}: format_version {payload['format_version']} "
                                   f"unsupported (expected {CHECKPOINT_VERSION})")
@@ -200,9 +204,21 @@ class CaptionModel:
                                   f"(missing {missing[:3]}, extra {extra[:3]})")
         for name, entry in stored.items():
             target = params[name]
-            shape = tuple(entry["shape"])
+            if not isinstance(entry, dict) or not {"shape", "values"} <= entry.keys():
+                raise ValidationError(f"{path}: {name} must be an object with "
+                                      "shape and values")
+            try:
+                shape = tuple(entry["shape"])
+                values = np.array(entry["values"], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{path}: {name}: {exc}") from None
             if shape != target.values.shape:
                 raise ShapeError(f"{path}: {name} has shape {shape}, "
                                  f"expected {target.values.shape}")
-            target.values = np.array(entry["values"], dtype=np.float64).reshape(shape)
+            if values.size != target.values.size:
+                raise ValidationError(f"{path}: {name} holds {values.size} values, "
+                                      f"shape {shape} needs {target.values.size}")
+            if not np.isfinite(values).all():
+                raise ValidationError(f"{path}: {name} holds a non-finite value")
+            target.values = values.reshape(target.values.shape)
         return model, vocab_tokens

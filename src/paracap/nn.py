@@ -2,7 +2,7 @@
 
 Every layer exposes ``params()`` mapping local names to parameter tensors;
 containers prefix the names with dots, so a whole model flattens into one
-``{"encoder.env_mlp.w1": Tensor, ...}`` dictionary for the optimizer and
+``{"encoder.env_mlp.lin1.w": Tensor, ...}`` dictionary for the optimizer and
 for checkpoints.
 """
 
@@ -22,20 +22,14 @@ def _init(rng: np.random.Generator, shape) -> Tensor:
 
 
 class Linear:
-    """Affine map y = x W + b for 1-D or 2-D inputs."""
+    """Affine map y = x W + b over the rows of a matrix."""
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int):
         self.d_in = d_in
-        self.d_out = d_out
         self.w = _init(rng, (d_in, d_out))
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim == 1:
-            if x.shape != (self.d_in,):
-                raise ShapeError(f"linear expects ({self.d_in},), got {x.shape}")
-            out = T.matmul(T.reshape(x, (1, self.d_in)), self.w) + self.b
-            return T.reshape(out, (self.d_out,))
         if x.ndim != 2 or x.shape[1] != self.d_in:
             raise ShapeError(f"linear expects (*, {self.d_in}), got {x.shape}")
         return T.matmul(x, self.w) + self.b
@@ -55,11 +49,7 @@ class MLP:
         return self.lin2(T.gelu(self.lin1(x)))
 
     def params(self) -> dict:
-        out = {}
-        for name, sub in (("lin1", self.lin1), ("lin2", self.lin2)):
-            for k, v in sub.params().items():
-                out[f"{name}.{k}"] = v
-        return out
+        return collect_params([("lin1", self.lin1), ("lin2", self.lin2)])
 
 
 class LayerNorm:
@@ -134,14 +124,9 @@ class MaskedMultiHeadAttention:
         return self.wo(T.concat(heads, axis=1))
 
     def params(self) -> dict:
-        out = {}
-        for h in range(self.n_heads):
-            for group, lins in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv)):
-                for k, v in lins[h].params().items():
-                    out[f"{group}{h}.{k}"] = v
-        for k, v in self.wo.params().items():
-            out[f"wo.{k}"] = v
-        return out
+        heads = [(f"{group}{h}", lins[h]) for h in range(self.n_heads)
+                 for group, lins in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv))]
+        return collect_params(heads + [("wo", self.wo)])
 
 
 class Embedding:

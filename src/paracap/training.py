@@ -153,7 +153,7 @@ def train(model, records, table, vocab, cfg: TrainConfig, loss_cfg: L.LossConfig
                     event_vecs.append(fwd.event_embeddings)
                     if loss_cfg.use_contrastive:
                         caption_vecs.append(model.caption_embeddings(records[vi], vocab))
-                loss = T.tmean(T.stack(cap_terms)) if len(cap_terms) > 1 else cap_terms[0]
+                loss = T.tmean(T.stack(cap_terms))
                 cap_sum += float(loss.values) * len(cap_terms)
                 tau_sum += sum(tau_terms)
                 n_events += len(cap_terms)

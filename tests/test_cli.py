@@ -294,6 +294,19 @@ class TestEvalAndDecode:
         assert main(["eval"] + args) == 2
         assert "no vocabulary" in capsys.readouterr().err
 
+    def test_decode_rejects_a_non_finite_checkpoint(self, run_dir, data_dir,
+                                                    tmp_path, capsys):
+        ckpt = json.loads((run_dir / "checkpoint.json").read_text())
+        ckpt["params"]["decoder.head.w"]["values"][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(ckpt))
+        args = self.eval_args(run_dir, data_dir, tmp_path / "out")
+        args[args.index("--checkpoint") + 1] = str(bad)
+        assert main(["decode"] + args) == 2
+        err = capsys.readouterr().err
+        assert "nan.json: decoder.head.w holds a non-finite value" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestUsage:
     def test_no_arguments_is_a_usage_error(self, capsys):

@@ -395,9 +395,13 @@ class TestManifest:
                 load_manifest(path)
 
     def test_end_before_begin_names_the_event(self, tmp_path):
-        path = self.broken(tmp_path, lambda o: o["events"][0].update(begin=9.0))
-        with pytest.raises(ValidationError, match=r"event 0: .*ends.*begins"):
-            load_manifest(str(path))
+        for times, message in ((dict(begin=9.0), "ends.*begins"),
+                               (dict(begin=float("nan")), "must be finite"),
+                               (dict(end=float("nan")), "must be finite"),
+                               (dict(end=float("inf")), "must be finite")):
+            path = self.broken(tmp_path, lambda o: o["events"][0].update(times))
+            with pytest.raises(ValidationError, match=rf"event 0: .*{message}"):
+                load_manifest(str(path))
 
     def test_empty_agents_list_round_trips(self, tmp_path):
         obj = self.payload()

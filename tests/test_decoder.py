@@ -6,6 +6,8 @@ weight after the softmax — so "cannot see" means bitwise invariance, not
 just approximate invariance.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,28 @@ class TestCheckpoint:
             CaptionModel.load_checkpoint(str(path))
         path.write_text("{\"config\": {}}")
         with pytest.raises(ValidationError):
+            CaptionModel.load_checkpoint(str(path))
+        path.write_text("5")
+        with pytest.raises(ValidationError, match=r"bad\.json: checkpoint must be"):
+            CaptionModel.load_checkpoint(str(path))
+        _, vocab, model = build_setup(seed=4)
+        model.save_checkpoint(str(path), vocab_tokens=vocab.id_to_token)
+        good = json.loads(path.read_text())
+        name = "decoder.head.w"
+        w = good["params"][name]
+        # each corruption is named with the file and the parameter (or the
+        # config) instead of failing later or decoding garbage
+        for key, entry in ((name, dict(w, values=[float("nan")] + w["values"][1:])),
+                           ("rho", dict(good["params"]["rho"], values=[float("inf")])),
+                           (name, dict(w, values=w["values"][:-1])),
+                           (name, dict(w, values=["x"] + w["values"][1:])),
+                           (name, 3)):
+            params = dict(good["params"], **{key: entry})
+            path.write_text(json.dumps(dict(good, params=params)))
+            with pytest.raises(ValidationError, match=rf"bad\.json: {key}"):
+                CaptionModel.load_checkpoint(str(path))
+        path.write_text(json.dumps(dict(good, config=3)))
+        with pytest.raises(ValidationError, match=r"bad\.json: config must be"):
             CaptionModel.load_checkpoint(str(path))
 
     def test_table_with_wrong_vocab_size_rejected(self):

@@ -241,6 +241,9 @@ class TestEmbeddingTable:
             with pytest.raises(ValidationError,
                                match=rf"table\.json: {key} holds a non-finite value"):
                 VocabEmbeddingTable.load(str(path))
+        path.write_text("5")
+        with pytest.raises(ValidationError, match=r"table\.json: table must be"):
+            VocabEmbeddingTable.load(str(path))
 
     def test_mismatched_rows_rejected(self):
         with pytest.raises(ValidationError):
