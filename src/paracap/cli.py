@@ -15,13 +15,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, replace
 
 from . import gradcheck
-from .data import (SyntheticWorldSpec, Vocabulary, build_vocab, detokenize,
+from .data import (RESERVED, SyntheticWorldSpec, Vocabulary, build_vocab, detokenize,
                    generate_synthetic, load_manifest, save_manifest, tokenize)
 from .encoder import VocabEmbeddingTable
-from .errors import NumericalError, ShapeError, ValidationError
+from .errors import (NumericalError, ShapeError, ValidationError, build_dataclass,
+                     read_json_object, require_at_least)
 from .losses import LossConfig
 from .model import CaptionModel, ModelConfig
 from .training import TrainConfig, decode_pairs, evaluate, train
@@ -29,30 +30,26 @@ from .training import TrainConfig, decode_pairs, evaluate, train
 SCHEMA_VERSION = 1
 
 
+@dataclass
+class GradcheckConfig:
+    """The ``gradcheck`` config: seeds per primitive case, end-to-end seed."""
+
+    n_seeds: int = 10
+    seed: int = 7
+
+    def __post_init__(self):
+        require_at_least(self, 1, "n_seeds")
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
+    cfg = read_json_object(path, "config")
     version = cfg.pop("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValidationError(f"{path}: schema_version {version} unsupported "
                               f"(expected {SCHEMA_VERSION})")
     return cfg
-
-
-def _build_dataclass(cls, section: dict, where: str, **overrides):
-    merged = dict(section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return cls(**merged)
-    except TypeError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _write_run_config(out_dir: str, subcommand: str, seed, config: dict):
@@ -74,7 +71,7 @@ def _infer_dims(records) -> dict:
             "d_frame": snippets[0].frame.shape[0]}
 
 
-def _max_rows_needed(records, vocab: Vocabulary, max_len: int) -> int:
+def _max_rows_needed(records, max_len: int) -> int:
     need = 0
     for rec in records:
         for ev in rec.events:
@@ -84,8 +81,8 @@ def _max_rows_needed(records, vocab: Vocabulary, max_len: int) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _build_dataclass(SyntheticWorldSpec, cfg, "world spec", seed=args.seed)
+    spec = build_dataclass(SyntheticWorldSpec, _load_config(args.config),
+                           args.config or "world spec", seed=args.seed)
     out = _ensure_out(args.out)
     corpus = generate_synthetic(spec)
     save_manifest(corpus.train, os.path.join(out, "train.jsonl"))
@@ -100,6 +97,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
+    src = args.config or "config"
     for key in cfg:
         if key not in ("model", "train", "loss"):
             raise ValidationError(f"unknown config section {key!r} "
@@ -110,44 +108,31 @@ def cmd_train(args) -> int:
     table = VocabEmbeddingTable.load(args.table)
     vocab = build_vocab(ev.caption for rec in records for ev in rec.events)
 
-    model_section = dict(cfg.get("model", {}))
-    model_section.update(_infer_dims(records))
-    model_section["vocab_size"] = len(vocab)
-    if args.k is not None:
-        model_section["k"] = args.k
-    if args.max_len is not None:
-        model_section["max_len"] = args.max_len
-    if args.modalities is not None:
-        # the encoder rejects unknown names and an empty list
-        model_section["modalities"] = [m.strip() for m in args.modalities.split(",")
-                                       if m.strip()]
-    if args.seed is not None:
-        model_section["seed"] = args.seed
-    probe_max_len = model_section.get("max_len", 16)
-    model_section.setdefault("max_pos", _max_rows_needed(records, vocab, probe_max_len))
-    model_cfg = _build_dataclass(ModelConfig, model_section, "model config")
+    model_section = cfg.get("model", {})
+    derived = dict(_infer_dims(records), vocab_size=len(vocab))
+    model_cfg = build_dataclass(ModelConfig, model_section, f"{src}: model", **derived,
+                                k=args.k, max_len=args.max_len, seed=args.seed,
+                                modalities=args.modalities)
+    for key in model_section:
+        if key in derived:
+            raise ValidationError(f"{src}: model: {key} is read from the data, not the config")
+    if "max_pos" not in model_section:
+        model_cfg = replace(model_cfg, max_pos=_max_rows_needed(records, model_cfg.max_len))
     if model_cfg.k > table.n_tokens:
         raise ValidationError(f"k={model_cfg.k} exceeds the {table.n_tokens} "
                               "tokens in the embedding table")
 
-    train_cfg = _build_dataclass(TrainConfig, cfg.get("train", {}), "train config",
-                                 seed=args.seed)
-    loss_section = dict(cfg.get("loss", {}))
-    if args.loss is not None:
-        loss_section["use_contrastive"] = args.loss == "combined"
-    loss_cfg = _build_dataclass(LossConfig, loss_section, "loss config")
+    train_cfg = build_dataclass(TrainConfig, cfg.get("train", {}), f"{src}: train",
+                                seed=args.seed)
+    loss_cfg = build_dataclass(LossConfig, cfg.get("loss", {}), f"{src}: loss",
+                               use_contrastive={"combined": True, "mle": False}.get(args.loss))
 
     model = CaptionModel(model_cfg)
     model.check_table(table, vocab)
     out = _ensure_out(args.out)
     ckpt_path = os.path.join(out, "checkpoint.json")
-    effective = {
-        "model": dict(asdict(model_cfg), modalities=list(model_cfg.modalities)),
-        "train": asdict(train_cfg),
-        "loss": dict(asdict(loss_cfg),
-                     penalty_excludes=list(loss_cfg.penalty_excludes)),
-    }
-    _write_run_config(out, "train", train_cfg.seed, effective)
+    _write_run_config(out, "train", train_cfg.seed, {
+        "model": asdict(model_cfg), "train": asdict(train_cfg), "loss": asdict(loss_cfg)})
     try:
         history = train(model, records, table, vocab, train_cfg, loss_cfg,
                         log_path=os.path.join(out, "train_log.jsonl"))
@@ -168,9 +153,9 @@ def _load_eval_inputs(args):
     is made; the run's ``run_config.json`` echoes them.
     """
     model, vocab_tokens = CaptionModel.load_checkpoint(args.checkpoint)
-    if vocab_tokens is None:
-        raise ValidationError(f"{args.checkpoint}: checkpoint carries no vocabulary")
-    vocab = Vocabulary(vocab_tokens[4:])
+    if not isinstance(vocab_tokens, list):
+        raise ValidationError(f"{args.checkpoint}: checkpoint carries no vocabulary list")
+    vocab = Vocabulary(vocab_tokens[len(RESERVED):])
     if vocab.id_to_token != list(vocab_tokens):
         raise ValidationError(f"{args.checkpoint}: stored vocabulary is not in "
                               "canonical order")
@@ -209,12 +194,11 @@ def cmd_decode(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = _load_config(args.config)
-    n_seeds = cfg.get("n_seeds", 10)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 7)
-    prim = gradcheck.run_primitive_checks(n_seeds=n_seeds)
+    cfg = build_dataclass(GradcheckConfig, _load_config(args.config),
+                          args.config or "gradcheck config", seed=args.seed)
+    prim = gradcheck.run_primitive_checks(n_seeds=cfg.n_seeds)
     print(f"primitives ok: {len(prim)} ops, worst {max(prim.values()):.3e}")
-    full = gradcheck.run_end_to_end_check(seed=seed)
+    full = gradcheck.run_end_to_end_check(seed=cfg.seed)
     print(f"end-to-end ok: {len(full)} parameter tensors, "
           f"worst {max(full.values()):.3e}")
     return 0
@@ -226,10 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale video paragraph captioning pipeline.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="overrides the config seed")
-        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset")
     common(p)
@@ -239,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--manifest", required=True, help="training manifest (JSON lines)")
     p.add_argument("--table", required=True, help="vocabulary embedding table JSON")
-    p.add_argument("--modalities", help="comma list from env,agent,ling")
+    # the encoder rejects unknown names and an empty list
+    p.add_argument("--modalities", help="comma list from env,agent,ling",
+                   type=lambda s: [m.strip() for m in s.split(",") if m.strip()])
     p.add_argument("--loss", choices=("combined", "mle"),
                    help="combined = captioning + alignment, mle = captioning only")
     p.add_argument("--max-len", type=int, help="decode length cap stored in the model")
@@ -250,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("eval", cmd_eval, "score a checkpoint against a manifest"),
             ("decode", cmd_decode, "write greedy captions for a manifest")):
         p = sub.add_parser(name, help=help_text)
-        common(p)
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--manifest", required=True)
         p.add_argument("--table", required=True)

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import SnippetInput, VocabEmbeddingTable
-from .errors import ValidationError
+from .errors import ValidationError, require_at_least
 
 PAD, BOS, EOS, UNK = "[PAD]", "[BOS]", "[EOS]", "[UNK]"
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
-_RESERVED = (PAD, BOS, EOS, UNK)
+RESERVED = (PAD, BOS, EOS, UNK)
 
 AGENT_WORDS = ("dog", "cat", "bird", "horse", "man", "woman", "robot", "child")
 ACTION_WORDS = ("runs", "jumps", "sleeps", "eats", "spins", "waves", "climbs", "digs")
@@ -45,7 +45,7 @@ class Vocabulary:
     """Token/id mapping with fixed reserved ids for pad, bos, eos and unk."""
 
     def __init__(self, tokens):
-        self.id_to_token = list(_RESERVED) + [t for t in tokens if t not in _RESERVED]
+        self.id_to_token = list(RESERVED) + [t for t in tokens if t not in RESERVED]
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise ValidationError("duplicate tokens in vocabulary")
@@ -60,16 +60,14 @@ class Vocabulary:
         return [self.id_to_token[i] for i in ids]
 
 
-def build_vocab(captions, min_freq: int = 1) -> Vocabulary:
+def build_vocab(captions) -> Vocabulary:
     """Vocabulary from caption strings, most frequent first, ties alphabetical."""
     counts = Counter()
     for cap in captions:
         counts.update(tokenize(cap))
-    kept = [(t, c) for t, c in counts.items() if c >= min_freq]
-    if not kept:
-        raise ValidationError("no tokens survive the frequency cutoff; corpus empty?")
-    kept.sort(key=lambda tc: (-tc[1], tc[0]))
-    return Vocabulary([t for t, _ in kept])
+    if not counts:
+        raise ValidationError("captions hold no tokens")
+    return Vocabulary(sorted(counts, key=lambda t: (-counts[t], t)))
 
 
 @dataclass
@@ -128,12 +126,9 @@ class SyntheticWorldSpec:
             v = getattr(self, name)
             if not 1 <= v <= cap:
                 raise ValidationError(f"{name}={v} outside [1, {cap}]")
-        if self.n_videos < 1 or self.events_per_video < 1 or self.snippets_per_event < 1:
-            raise ValidationError("need at least one video, event and snippet")
-        if self.n_held_out < 0:
-            raise ValidationError(f"n_held_out must be >= 0, got {self.n_held_out}")
-        if self.noise_sigma < 0.0:
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        require_at_least(self, 1, "n_videos", "events_per_video", "snippets_per_event",
+                         "d_env", "d_agent", "d_frame")
+        require_at_least(self, 0, "n_held_out", "max_agents", "noise_sigma")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, read_json_object
 from .nn import MLP, SelfAttention, collect_params
 from .tensor import Tensor
 
@@ -105,21 +105,10 @@ class VocabEmbeddingTable:
 
     @classmethod
     def load(cls, path: str) -> "VocabEmbeddingTable":
-        with open(path) as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: not valid JSON ({exc})") from None
-        if not isinstance(payload, dict):
-            raise ValidationError(f"{path}: table must be a JSON object")
-        for key in ("tokens", "text_features", "W_t", "W_i"):
-            if key not in payload:
-                raise ValidationError(f"{path}: missing key {key!r}")
+        payload = read_json_object(path, "table", ("tokens", "text_features", "W_t", "W_i"))
         try:
-            return cls(tokens=payload["tokens"],
-                       text_features=payload["text_features"],
-                       w_text=payload["W_t"],
-                       w_image=payload["W_i"])
+            return cls(tokens=payload["tokens"], text_features=payload["text_features"],
+                       w_text=payload["W_t"], w_image=payload["W_i"])
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: {exc}") from None
 

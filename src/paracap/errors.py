@@ -1,4 +1,9 @@
-"""Shared exception types. The CLI maps them onto exit codes."""
+"""Shared exception types, which the CLI maps onto exit codes, and the readers
+that turn JSON files into checked objects."""
+
+import json
+import math
+import typing
 
 
 class ShapeError(ValueError):
@@ -11,3 +16,52 @@ class ValidationError(ValueError):
 
 class NumericalError(RuntimeError):
     """NaN input, training divergence, or a failed gradient check."""
+
+
+def read_json_object(path: str, what: str, required=()) -> dict:
+    """Parse a JSON file whose top level is an object with the ``required`` keys."""
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: {what} must be a JSON object")
+    for key in required:
+        if key not in payload:
+            raise ValidationError(f"{path}: missing key {key!r}")
+    return payload
+
+
+# JSON values each field type takes: bools are not numbers, and every int
+# field is a size, a count or a seed
+_ACCEPTS = {
+    int: ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    float: ("a finite number", lambda v: type(v) is int or type(v) is float and math.isfinite(v)),
+    bool: ("true or false", lambda v: type(v) is bool),
+    tuple: ("a list", lambda v: type(v) is list),
+}
+
+
+def build_dataclass(cls, mapping: dict, where: str, **overrides):
+    """Config dataclass ``cls`` from a JSON object and the overrides that are
+    not None; every fault raises ``ValidationError`` prefixed with ``where``."""
+    if not isinstance(mapping, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    merged = dict(mapping, **{k: v for k, v in overrides.items() if v is not None})
+    types = typing.get_type_hints(cls)
+    for key in (k for k in merged if k in types):   # cls() names an unknown key
+        expected, accepts = _ACCEPTS[types[key]]
+        if not accepts(merged[key]):
+            raise ValidationError(f"{where}: {key} must be {expected}, got {merged[key]!r}")
+    try:
+        return cls(**merged)
+    except (TypeError, ValidationError) as exc:   # TypeError: unknown or missing keys
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+def require_at_least(obj, low, *names):
+    """Reject the first of the ``names`` attributes of ``obj`` below ``low``."""
+    for name in names:
+        if getattr(obj, name) < low:
+            raise ValidationError(f"{name} must be >= {low}, got {getattr(obj, name)}")

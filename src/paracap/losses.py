@@ -8,29 +8,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import PAD_ID
-from .errors import NumericalError, ShapeError, ValidationError
+from .data import BOS_ID, EOS_ID, PAD_ID
+from .errors import NumericalError, ShapeError, ValidationError, require_at_least
 from .tensor import Tensor
 
 # temperature parameter starts at log(1 / 0.07)
 RHO_INIT = float(np.log(1.0 / 0.07))
+LABEL_SMOOTHING = 0.1
+PROB_FLOOR = 1e-8                 # keeps log(1 - p) finite as p -> 1
+PENALTY_EXCLUDES = (PAD_ID, BOS_ID, EOS_ID)   # ids repetition is never punished for
 
 
 @dataclass
 class LossConfig:
     lam: float = 0.1                  # weight of the repetition penalty
-    label_smoothing: float = 0.1
-    prob_floor: float = 1e-8          # keeps log(1 - p) finite as p -> 1
-    penalty_excludes: tuple = (0, 1, 2)   # ids repetition is never punished for
     use_contrastive: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ValidationError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
-        if self.lam < 0.0:
-            raise ValidationError(f"lam must be >= 0, got {self.lam}")
-        if not 0.0 < self.prob_floor < 1.0:
-            raise ValidationError(f"prob_floor must be in (0, 1), got {self.prob_floor}")
+        require_at_least(self, 0.0, "lam")
 
 
 def smoothed_cross_entropy(logits: Tensor, targets, smoothing: float) -> Tensor:
@@ -61,8 +56,8 @@ def smoothed_cross_entropy(logits: Tensor, targets, smoothing: float) -> Tensor:
     return -T.tsum(Tensor(q) * lp) / float(n_valid)
 
 
-def repetition_penalty(probs: Tensor, targets, excludes=(0, 1, 2),
-                       floor: float = 1e-8) -> Tensor:
+def repetition_penalty(probs: Tensor, targets, excludes=PENALTY_EXCLUDES,
+                       floor: float = PROB_FLOOR) -> Tensor:
     """Penalty for re-predicting tokens the reference already used.
 
     At position i the candidate set is the distinct target tokens from
@@ -92,9 +87,8 @@ def captioning_loss(logits: Tensor, targets, cfg: LossConfig):
 
     Returns ``(total, ce, tau)`` so training can log the parts separately.
     """
-    ce = smoothed_cross_entropy(logits, targets, cfg.label_smoothing)
-    tau = repetition_penalty(T.softmax(logits, axis=1), targets,
-                             cfg.penalty_excludes, cfg.prob_floor)
+    ce = smoothed_cross_entropy(logits, targets, LABEL_SMOOTHING)
+    tau = repetition_penalty(T.softmax(logits, axis=1), targets)
     return ce + tau * cfg.lam, ce, tau
 
 

@@ -14,10 +14,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import BOS_ID, EOS_ID, Vocabulary, tokenize
+from .data import BOS_ID, EOS_ID, RESERVED, Vocabulary, tokenize
 from .decoder import CaptionDecoder, EventMemory, greedy_decode
 from .encoder import MODALITIES, SnippetEncoder, VocabEmbeddingTable
-from .errors import ShapeError, ValidationError
+from .errors import (ShapeError, ValidationError, build_dataclass, read_json_object,
+                     require_at_least)
 from .losses import RHO_INIT
 from .nn import MLP, Embedding, collect_params
 from .tensor import Tensor
@@ -43,14 +44,12 @@ class ModelConfig:
 
     def __post_init__(self):
         self.modalities = tuple(self.modalities)
+        require_at_least(self, 1, "d_env", "d_agent", "d_frame", "d_emb", "n_layers",
+                         "n_heads", "ff_mult", "max_pos", "k", "max_len")
         if self.d_emb % self.n_heads != 0:
             raise ValidationError(f"d_emb={self.d_emb} not divisible by "
                                   f"n_heads={self.n_heads}")
-        if self.vocab_size < 5:
-            raise ValidationError(f"vocab_size={self.vocab_size} leaves no room "
-                                  "beyond the reserved ids")
-        if self.max_len < 1 or self.k < 1:
-            raise ValidationError("max_len and k must be >= 1")
+        require_at_least(self, len(RESERVED) + 1, "vocab_size")   # one id past the reserved
 
 
 @dataclass
@@ -158,7 +157,7 @@ class CaptionModel:
     def save_checkpoint(self, path: str, vocab_tokens=None):
         payload = {
             "format_version": CHECKPOINT_VERSION,
-            "config": dict(asdict(self.config), modalities=list(self.config.modalities)),
+            "config": asdict(self.config),
             "params": {
                 name: {"shape": list(p.values.shape), "values": p.values.ravel().tolist()}
                 for name, p in self.named_params().items()
@@ -172,29 +171,15 @@ class CaptionModel:
     @classmethod
     def load_checkpoint(cls, path: str):
         """Rebuild a model from a checkpoint; returns (model, stored vocab tokens)."""
-        with open(path) as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: not valid JSON ({exc})") from None
-        if not isinstance(payload, dict):
-            raise ValidationError(f"{path}: checkpoint must be a JSON object")
-        for key in ("format_version", "config", "params"):
-            if key not in payload:
-                raise ValidationError(f"{path}: missing key {key!r}")
+        payload = read_json_object(path, "checkpoint", ("format_version", "config", "params"))
         for key in ("config", "params"):
             if not isinstance(payload[key], dict):
                 raise ValidationError(f"{path}: {key} must be a JSON object")
         if payload["format_version"] != CHECKPOINT_VERSION:
             raise ValidationError(f"{path}: format_version {payload['format_version']} "
                                   f"unsupported (expected {CHECKPOINT_VERSION})")
-        cfg_dict = dict(payload["config"])
-        vocab_tokens = cfg_dict.pop("vocab_tokens", None)
-        try:
-            config = ModelConfig(**cfg_dict)
-        except TypeError as exc:
-            raise ValidationError(f"{path}: bad config ({exc})") from None
-        model = cls(config)
+        vocab_tokens = payload["config"].pop("vocab_tokens", None)
+        model = cls(build_dataclass(ModelConfig, payload["config"], f"{path}: config"))
         params = model.named_params()
         stored = payload["params"]
         missing = sorted(set(params) - set(stored))
@@ -207,18 +192,14 @@ class CaptionModel:
             if not isinstance(entry, dict) or not {"shape", "values"} <= entry.keys():
                 raise ValidationError(f"{path}: {name} must be an object with "
                                       "shape and values")
-            try:
-                shape = tuple(entry["shape"])
-                values = np.array(entry["values"], dtype=np.float64)
+            try:   # a value count that does not fit the shape fails the reshape
+                values = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}: {name}: {exc}") from None
-            if shape != target.values.shape:
-                raise ShapeError(f"{path}: {name} has shape {shape}, "
+            if values.shape != target.values.shape:
+                raise ShapeError(f"{path}: {name} has shape {values.shape}, "
                                  f"expected {target.values.shape}")
-            if values.size != target.values.size:
-                raise ValidationError(f"{path}: {name} holds {values.size} values, "
-                                      f"shape {shape} needs {target.values.size}")
             if not np.isfinite(values).all():
                 raise ValidationError(f"{path}: {name} holds a non-finite value")
-            target.values = values.reshape(target.values.shape)
+            target.values = values
         return model, vocab_tokens

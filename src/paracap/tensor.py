@@ -29,18 +29,19 @@ from .errors import NumericalError, ShapeError
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 
-_state = threading.local()
+
+class _GradState(threading.local):
+    grad_enabled = True    # each thread starts with recording on
 
 
-def grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
+_state = _GradState()
 
 
 class no_grad:
     """Context manager that stops graph recording (eval / finite differences)."""
 
     def __enter__(self):
-        self._prev = grad_enabled()
+        self._prev = _state.grad_enabled
         _state.grad_enabled = False
         return self
 
@@ -124,22 +125,32 @@ def _wrap(x) -> Tensor:
 
 def _make(values, op: str, parents: tuple, backward_fn) -> Tensor:
     """Create an op output; records the tape entry only when grads can flow."""
-    if grad_enabled() and any(p.requires_grad for p in parents):
-        return Tensor(values, requires_grad=True, op=op, parents=parents,
-                      backward=backward_fn)
+    for p in parents:
+        if p.requires_grad:
+            if _state.grad_enabled:
+                return Tensor(values, True, op, parents, backward_fn)
+            break
     return Tensor(values, op=op)
 
 
 def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+    if t.grad is not None:
+        t.grad += g
+    elif type(g) is np.ndarray and g.shape == t.values.shape:
+        # differs from 0.0 + g only by keeping -0.0, which no backward rule
+        # or optimizer step can turn into a different nonzero value
+        t.grad = g.copy()
+    else:
+        t.grad = np.zeros(t.values.shape)
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, extent in enumerate(shape):
@@ -151,19 +162,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def toposort(root: Tensor) -> list:
     """Nodes reachable from ``root``, every parent before its consumer."""
     order = []
-    seen = set()
+    seen = set()   # tensors hash by identity
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
     return order
 
@@ -323,7 +334,7 @@ def take_rows(a: Tensor, indices) -> Tensor:
     out = a.values[idx]
 
     def bw(g, a=a, idx=idx):
-        buf = np.zeros_like(a.values)
+        buf = np.zeros(a.values.shape)
         np.add.at(buf, idx, g)
         _accum(a, buf)
 
@@ -333,14 +344,22 @@ def take_rows(a: Tensor, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 # reductions
 
+def _spread(g, shape: tuple, axis) -> np.ndarray:
+    """A reduction's output gradient copied over every element it reduced."""
+    if axis is not None:
+        axis %= len(shape)
+        g = g.reshape(shape[:axis] + (1,) + shape[axis + 1:])
+    out = np.empty(shape)
+    out[...] = g
+    return out
+
+
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     out = a.values.sum(axis=axis, keepdims=keepdims)
 
-    def bw(g, a=a, axis=axis, keepdims=keepdims):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.values.shape).copy())
+    def bw(g, a=a, axis=axis):
+        _accum(a, _spread(g, a.values.shape, axis))
 
     return _make(out, "sum", (a,), bw)
 
@@ -348,12 +367,10 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     count = a.values.size if axis is None else a.values.shape[axis]
-    out = a.values.mean(axis=axis, keepdims=keepdims)
+    out = a.values.sum(axis=axis, keepdims=keepdims) / count   # what ndarray.mean computes
 
-    def bw(g, a=a, axis=axis, keepdims=keepdims, count=count):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g / count, a.values.shape).copy())
+    def bw(g, a=a, axis=axis, count=count):
+        _accum(a, _spread(g / count, a.values.shape, axis))
 
     return _make(out, "mean", (a,), bw)
 

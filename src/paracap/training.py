@@ -8,6 +8,7 @@ per batch over every event in the batch.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass
@@ -18,19 +19,22 @@ from . import losses as L
 from . import metrics as M
 from . import tensor as T
 from .data import tokenize
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_at_least
+
+# Adam's fixed recipe: moment decays, decoupled weight decay, global norm cap
+BETA1 = 0.9
+BETA2 = 0.999
+WEIGHT_DECAY = 0.01
+GRAD_CLIP = 1.0
+EPS = 1e-8
 
 
 @dataclass
 class TrainConfig:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    weight_decay: float = 0.01
     warmup_epochs: int = 5
     epochs: int = 20
     batch_size: int = 4
-    grad_clip: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -39,18 +43,16 @@ class TrainConfig:
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ValidationError(f"warmup_epochs={self.warmup_epochs} outside "
                                   f"[0, epochs={self.epochs}]")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.grad_clip <= 0.0:
-            raise ValidationError(f"grad_clip must be > 0, got {self.grad_clip}")
+        require_at_least(self, 1, "batch_size")
 
 
 class AdamState:
-    """First/second moment buffers plus the shared step counter."""
+    """First/second moment buffers over all parameters laid end to end in
+    dict order, plus the shared step counter."""
 
     def __init__(self, params: dict):
-        self.m = {k: np.zeros_like(p.values) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.values) for k, p in params.items()}
+        self.m = np.zeros(sum(p.values.size for p in params.values()))
+        self.v = np.zeros_like(self.m)
         self.step = 0
 
 
@@ -63,8 +65,6 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
             g *= scale
     return total
 
-EPS = 1e-8
-
 
 def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig,
               warmup_steps: int):
@@ -72,26 +72,30 @@ def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig,
 
     The learning rate ramps linearly from zero over ``warmup_steps``
     optimizer steps, then stays constant. Weight decay is decoupled from
-    the moment estimates.
+    the moment estimates. Every operation is elementwise, so running it
+    once over all parameters laid end to end changes no value.
     """
-    for name in params:
-        if not np.isfinite(grads[name]).all():
-            raise NumericalError(f"non-finite gradient in {name}; step rejected")
+    g = np.concatenate([grads[name].ravel() for name in params])
+    if not np.isfinite(g).all():
+        name = next(n for n in params if not np.isfinite(grads[n]).all())
+        raise NumericalError(f"non-finite gradient in {name}; step rejected")
     state.step += 1
     t = state.step
     lr = cfg.lr * min(1.0, t / warmup_steps) if warmup_steps > 0 else cfg.lr
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-        p.values = p.values - lr * (update + cfg.weight_decay * p.values)
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    m, v = state.m, state.v
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    flat = np.concatenate([p.values.ravel() for p in params.values()])
+    flat = flat - lr * (update + WEIGHT_DECAY * flat)
+    start = 0
+    for p in params.values():
+        p.values = flat[start:start + p.values.size].reshape(p.values.shape).copy()
+        start += p.values.size
 
 
 @dataclass
@@ -130,6 +134,10 @@ def train(model, records, table, vocab, cfg: TrainConfig, loss_cfg: L.LossConfig
     last_good = {k: p.values.copy() for k, p in params.items()}
     history = []
     log_fh = open(log_path, "w") if log_path else None
+    # Each step's tape is acyclic, so reference counting frees it; the
+    # cyclic collector would only rescan its live nodes, again and again.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         for epoch in range(cfg.epochs):
             order = rng.permutation(len(records))
@@ -172,7 +180,7 @@ def train(model, records, table, vocab, cfg: TrainConfig, loss_cfg: L.LossConfig
                 T.backward(loss)
                 grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.values))
                          for k, p in params.items()}
-                clip_gradients(grads, cfg.grad_clip)
+                clip_gradients(grads, GRAD_CLIP)
                 adam_step(params, grads, state, cfg, warmup_steps)
             stats = EpochStats(
                 epoch=epoch,
@@ -189,6 +197,8 @@ def train(model, records, table, vocab, cfg: TrainConfig, loss_cfg: L.LossConfig
             if callback is not None and callback(stats):
                 break
     finally:
+        if gc_was_enabled:
+            gc.enable()
         if log_fh:
             log_fh.close()
     return history

@@ -1,10 +1,21 @@
 """Command-line pipeline, exercised in process through ``main(argv)``."""
 
+import contextlib
+import io
 import json
+import math
+import re
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paracap.cli import main
+from paracap.data import SyntheticWorldSpec
+from paracap.losses import LossConfig
+from paracap.model import ModelConfig
+from paracap.training import TrainConfig
 
 GEN_CONFIG = {"n_agent_kinds": 2, "n_action_kinds": 2, "n_place_kinds": 2,
               "n_videos": 3, "n_held_out": 1, "events_per_video": 2,
@@ -19,9 +30,48 @@ TRAIN_CONFIG = {
 }
 
 
+# model fields the train command reads from the manifest and vocabulary
+DERIVED = ("d_env", "d_agent", "d_frame", "vocab_size")
+
+
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def field_types(cls, skip=()):
+    """(key, annotated type name) for every settable field of a config."""
+    return [(k, t.__name__) for k, t in get_type_hints(cls).items()
+            if k not in skip]
+
+
+GEN_KEYS = field_types(SyntheticWorldSpec)
+TRAIN_KEYS = [(section, key, kind)
+              for section, cls in (("model", ModelConfig),
+                                   ("train", TrainConfig),
+                                   ("loss", LossConfig))
+              for key, kind in field_types(cls, DERIVED)]
+
+_text = st.text(max_size=4)
+_list = st.lists(st.integers(), max_size=2)
+_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+# JSON values a field of each annotated type must reject: a string, a bool
+# for a number, a float for an int, a list, null, and a non-finite float
+WRONG = {
+    "int": st.one_of(_text, st.booleans(), st.floats(), _list, st.none()),
+    "float": st.one_of(_text, st.booleans(), _non_finite, _list, st.none()),
+    "bool": st.one_of(_text, st.integers(), st.floats(), _list, st.none()),
+    "tuple": st.one_of(_text, st.booleans(), st.integers(), st.floats(),
+                       st.none()),
+}
+
+
+def run_main(argv):
+    """Exit code and stderr of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +262,28 @@ class TestTrain:
                      "--out", str(tmp_path / "run")]) == 2
         assert "no videos" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", DERIVED)
+    def test_derived_model_key_is_rejected(self, data_dir, tmp_path, capsys,
+                                           key):
+        cfg_obj = json.loads(json.dumps(TRAIN_CONFIG))
+        cfg_obj["model"][key] = 3
+        cfg = write_json(tmp_path / "t.json", cfg_obj)
+        assert main(["train", "--config", cfg,
+                     "--manifest", str(data_dir / "train.jsonl"),
+                     "--table", str(data_dir / "table.json"),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"t.json: model: {key} is read from the data" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_non_object_section_is_rejected(self, data_dir, tmp_path, capsys):
+        cfg = write_json(tmp_path / "t.json", dict(TRAIN_CONFIG, model=5))
+        assert main(["train", "--config", cfg,
+                     "--manifest", str(data_dir / "train.jsonl"),
+                     "--table", str(data_dir / "table.json"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "t.json: model must be a JSON object" in capsys.readouterr().err
+
 
 class TestEvalAndDecode:
     def eval_args(self, run_dir, data_dir, out, manifest="held_out.jsonl"):
@@ -307,6 +379,18 @@ class TestEvalAndDecode:
         assert "nan.json: decoder.head.w holds a non-finite value" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "decode"])
+    def test_config_and_seed_flags_are_usage_errors(self, run_dir, data_dir,
+                                                    tmp_path, capsys, command):
+        # neither command reads a config file or a seed, so neither flag is
+        # accepted and then silently ignored
+        for flag in (["--config", str(tmp_path / "c.json")], ["--seed", "3"]):
+            out = tmp_path / "out"
+            assert main([command] + flag +
+                        self.eval_args(run_dir, data_dir, out)) == 1
+            assert not out.exists()
+        capsys.readouterr()
+
 
 class TestUsage:
     def test_no_arguments_is_a_usage_error(self, capsys):
@@ -364,3 +448,59 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--config", cfg, "--seed", "6"]) == 0
         capsys.readouterr()
         assert seen == {"n_seeds": 2, "seed": 6}
+
+    @pytest.mark.parametrize("cfg_obj, key", [
+        ({"nseeds": 2}, "nseeds"), ({"n_seeds": "x"}, "n_seeds"),
+        ({"n_seeds": 2.5}, "n_seeds"), ({"n_seeds": 0}, "n_seeds"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_bad_config_exits_two_naming_the_key(self, monkeypatch, capsys,
+                                                 tmp_path, cfg_obj, key):
+        ran = []
+        monkeypatch.setattr("paracap.gradcheck.run_primitive_checks",
+                            lambda n_seeds=10: ran.append(n_seeds) or {"add": 0.0})
+        monkeypatch.setattr("paracap.gradcheck.run_end_to_end_check",
+                            lambda seed=7: ran.append(seed) or {"w": 0.0})
+        cfg = write_json(tmp_path / "g.json", cfg_obj)
+        assert main(["gradcheck", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
+        assert ran == []
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("boundary")
+
+
+class TestConfigBoundary:
+    """Every settable key rejects a JSON value of the wrong type with exit 2
+    and the key named, before anything is written."""
+
+    @settings(deadline=None)
+    @given(case=st.sampled_from(GEN_KEYS).flatmap(
+        lambda kt: st.tuples(st.just(kt[0]), WRONG[kt[1]])))
+    def test_world_spec_value_of_the_wrong_type(self, scratch, case):
+        key, value = case
+        cfg = write_json(scratch / "world.json", dict(GEN_CONFIG, **{key: value}))
+        out = scratch / "data"
+        code, err = run_main(["gen-data", "--config", cfg, "--out", str(out)])
+        assert code == 2, err
+        assert re.search(rf"world\.json: {key}\b", err), err
+        assert not out.exists()
+
+    @settings(deadline=None)
+    @given(case=st.sampled_from(TRAIN_KEYS).flatmap(
+        lambda skt: st.tuples(st.just(skt[0]), st.just(skt[1]), WRONG[skt[2]])))
+    def test_train_value_of_the_wrong_type(self, data_dir, scratch, case):
+        section, key, value = case
+        cfg_obj = json.loads(json.dumps(TRAIN_CONFIG))
+        cfg_obj[section][key] = value
+        cfg = write_json(scratch / "train.json", cfg_obj)
+        out = scratch / "run"
+        code, err = run_main(["train", "--config", cfg,
+                              "--manifest", str(data_dir / "train.jsonl"),
+                              "--table", str(data_dir / "table.json"),
+                              "--out", str(out)])
+        assert code == 2, err
+        assert re.search(rf"train\.json: {section}: {key}\b", err), err
+        assert not out.exists()

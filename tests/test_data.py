@@ -96,10 +96,6 @@ class TestBuildVocab:
         v = build_vocab(["b a", "a b"])
         assert v.id_to_token[4:] == ["a", "b"]
 
-    def test_min_freq_drops_rare_tokens(self):
-        v = build_vocab(["a a b"], min_freq=2)
-        assert v.id_to_token[4:] == ["a"]
-
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
             build_vocab([""])
@@ -229,6 +225,7 @@ class TestSyntheticWorld:
         dict(n_agent_kinds=0), dict(n_agent_kinds=9), dict(n_videos=0),
         dict(events_per_video=0), dict(snippets_per_event=0),
         dict(n_held_out=-1), dict(noise_sigma=-0.1),
+        dict(d_env=0), dict(d_agent=0), dict(d_frame=0), dict(max_agents=-1),
     ])
     def test_bad_spec_rejected(self, bad):
         with pytest.raises(ValidationError):

@@ -317,6 +317,14 @@ class TestCheckpoint:
         path.write_text(json.dumps(dict(good, config=3)))
         with pytest.raises(ValidationError, match=r"bad\.json: config must be"):
             CaptionModel.load_checkpoint(str(path))
+        # a config value of the wrong type or range is named with the file
+        # instead of failing inside numpy or decoding with a coerced value
+        for key, value in (("d_emb", -12), ("k", 2.5), ("n_heads", 5),
+                           ("max_len", True)):
+            config = dict(good["config"], **{key: value})
+            path.write_text(json.dumps(dict(good, config=config)))
+            with pytest.raises(ValidationError, match=rf"bad\.json: .*{key}"):
+                CaptionModel.load_checkpoint(str(path))
 
     def test_table_with_wrong_vocab_size_rejected(self):
         corpus, vocab, model = build_setup(seed=4)

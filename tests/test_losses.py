@@ -13,19 +13,9 @@ from paracap.tensor import Tensor
 
 
 class TestLossConfig:
-    def test_rejects_bad_smoothing(self):
-        with pytest.raises(ValidationError):
-            LossConfig(label_smoothing=1.0)
-        with pytest.raises(ValidationError):
-            LossConfig(label_smoothing=-0.1)
-
     def test_rejects_negative_lam(self):
         with pytest.raises(ValidationError):
             LossConfig(lam=-0.5)
-
-    def test_rejects_bad_floor(self):
-        with pytest.raises(ValidationError):
-            LossConfig(prob_floor=0.0)
 
 
 class TestSmoothedCrossEntropy:
