@@ -61,14 +61,17 @@ def main():
     print(f"finite-difference relative error: {err:.2e}")
 
     banner("gradients respect hard masking exactly")
-    v = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    q = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    k = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     allowed = np.tril(np.ones((3, 3), dtype=bool))       # causal pattern
-    probs = T.softmax(v + T.attention_bias(allowed), axis=1)
-    T.backward(T.tsum(probs * probs))
+    # identity values make the output the attention probabilities themselves
+    probs = T.attention(q, k, Tensor(np.eye(3)), allowed)
+    first_two = Tensor(np.array([[1.0], [1.0], [0.0]]))  # the loss reads rows 0-1
+    T.backward(T.tsum(probs * probs * first_two))
     print("attention probabilities (upper triangle masked):")
     print(np.array_str(probs.values, precision=4, suppress_small=True))
-    print("masked inputs receive exactly zero gradient:",
-          bool((v.grad[~allowed] == 0).all()))
+    print("the last key, masked for rows 0-1, receives exactly zero gradient:",
+          bool((k.grad[2] == 0).all()))
 
     banner("the package-wide check, in miniature")
     from paracap.gradcheck import run_primitive_checks

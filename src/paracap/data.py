@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import SnippetInput, VocabEmbeddingTable
-from .errors import ValidationError, require_at_least
+from .errors import ValidationError, is_finite_number, require_at_least
 
 PAD, BOS, EOS, UNK = "[PAD]", "[BOS]", "[EOS]", "[UNK]"
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
@@ -218,6 +218,8 @@ def save_manifest(records, path: str):
 
 
 def _field(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: expected an object, got {obj!r}")
     if key not in obj:
         raise ValidationError(f"{where}: missing field {key!r}")
     return obj[key]
@@ -283,14 +285,18 @@ def load_manifest(path: str) -> list:
                     except (TypeError, ValueError) as exc:
                         raise ValidationError(f"{swhere}: {exc}") from None
                     snippets.append(snippet)
-                begin = _field(rev, "begin", ewhere)
-                end = _field(rev, "end", ewhere)
+                times = {key: _field(rev, key, ewhere) for key in ("begin", "end")}
+                for key, value in times.items():
+                    if not is_finite_number(value):
+                        raise ValidationError(f"{ewhere}: event times must be finite "
+                                              f"numbers, got {key} {value!r}")
                 caption = _field(rev, "caption", ewhere)
+                if not isinstance(caption, str):
+                    raise ValidationError(f"{ewhere}: caption must be a string, "
+                                          f"got {caption!r}")
                 try:
-                    events.append(EventRecord(begin=begin, end=end,
-                                              caption=str(caption),
-                                              snippets=snippets))
-                except (TypeError, ValueError) as exc:
+                    events.append(EventRecord(caption=caption, snippets=snippets, **times))
+                except ValidationError as exc:
                     raise ValidationError(f"{ewhere}: {exc}") from None
             try:
                 records.append(VideoRecord(video_id=vid, events=events))

@@ -33,11 +33,21 @@ def read_json_object(path: str, what: str, required=()) -> dict:
     return payload
 
 
+def is_finite_number(v) -> bool:
+    """A JSON number, not a bool, that converts to a finite float."""
+    if type(v) not in (int, float):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
 # JSON values each field type takes: bools are not numbers, and every int
 # field is a size, a count or a seed
 _ACCEPTS = {
     int: ("a non-negative integer", lambda v: type(v) is int and v >= 0),
-    float: ("a finite number", lambda v: type(v) is int or type(v) is float and math.isfinite(v)),
+    float: ("a finite number", is_finite_number),
     bool: ("true or false", lambda v: type(v) is bool),
     tuple: ("a list", lambda v: type(v) is list),
 }

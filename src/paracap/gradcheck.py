@@ -146,6 +146,20 @@ def _primitive_cases():
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         return lambda x: T.tsum(T.gelu(x) * w), x
 
+    def case_attention(rng):
+        # x stands in for q, then k, then v; the causal mask leaves rows 0-2
+        # partly masked, and the last call runs unmasked
+        q, k, v = (Tensor(rng.normal(size=(4, 3))) for _ in range(3))
+        w = _weights(rng, (4, 3))
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        mask = np.tril(np.ones((4, 4), dtype=bool))
+
+        def f(x):
+            return (T.tsum(T.attention(x, k, v, mask) * w)
+                    + T.tsum(T.attention(q, x, v, mask) * w)
+                    + T.tsum(T.attention(q, k, x) * w))
+        return f, x
+
     def case_clamp_min(rng):
         w = _weights(rng, (3, 4))
         x = Tensor(_away_from_zero(rng, (3, 4)), requires_grad=True)
@@ -175,15 +189,18 @@ def _primitive_cases():
         x = Tensor(rng.uniform(0.5, 1.5, size=(4,)), requires_grad=True)
         return lambda x: T.tsum(T.layer_norm(h, x, bias) * w), x
 
-    return [(name[5:], fn) for name, fn in sorted(locals().items())
-            if name.startswith("case_")]
+    # a case draws its inputs from its list position, so the attention case
+    # goes after the sorted ones and leaves their inputs as they were
+    cases = [(name[5:], fn) for name, fn in sorted(locals().items())
+             if name.startswith("case_") and fn is not case_attention]
+    return cases + [("attention", case_attention)]
 
 
-def run_primitive_checks(n_seeds: int = 10, tol: float = PRIMITIVE_TOL) -> dict:
+def run_primitive_checks(n_seeds: int = 10) -> dict:
     """Check every primitive against central differences over many seeds.
 
     Returns {primitive: worst relative error}; raises if any exceeds
-    ``tol``.
+    ``PRIMITIVE_TOL``.
     """
     worst = {}
     for case_index, (name, builder) in enumerate(_primitive_cases()):
@@ -193,9 +210,9 @@ def run_primitive_checks(n_seeds: int = 10, tol: float = PRIMITIVE_TOL) -> dict:
             f, x = builder(rng)
             errs.append(T.finite_diff_check(f, x))
         worst[name] = max(errs)
-    failures = {k: v for k, v in worst.items() if v > tol}
+    failures = {k: v for k, v in worst.items() if v > PRIMITIVE_TOL}
     if failures:
-        raise NumericalError(f"primitive gradient checks above {tol}: {failures}")
+        raise NumericalError(f"primitive gradient checks above {PRIMITIVE_TOL}: {failures}")
     return worst
 
 
@@ -226,7 +243,7 @@ def _tiny_world(seed: int = 7):
     return record, table, vocab, config
 
 
-def run_end_to_end_check(tol: float = END_TO_END_TOL, seed: int = 7) -> dict:
+def run_end_to_end_check(seed: int = 7) -> dict:
     """Finite-difference check of the combined loss through the whole model.
 
     Two events of three target tokens each, two snippets per event, width
@@ -299,7 +316,7 @@ def run_end_to_end_check(tol: float = END_TO_END_TOL, seed: int = 7) -> dict:
     errors = {}
     for name, p in model.named_params().items():
         errors[name] = T.finite_diff_check(lambda _x: loss_fn(), p)
-    failures = {k: v for k, v in errors.items() if v > tol}
+    failures = {k: v for k, v in errors.items() if v > END_TO_END_TOL}
     if failures:
-        raise NumericalError(f"end-to-end gradient check above {tol}: {failures}")
+        raise NumericalError(f"end-to-end gradient check above {END_TO_END_TOL}: {failures}")
     return errors

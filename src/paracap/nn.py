@@ -82,11 +82,8 @@ class SelfAttention:
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.d:
             raise ShapeError(f"self-attention expects (*, {self.d}), got {x.shape}")
-        q = T.matmul(x, self.wq)
-        k = T.matmul(x, self.wk)
-        v = T.matmul(x, self.wv)
-        scores = T.matmul(q, T.transpose(k)) * (1.0 / np.sqrt(self.d))
-        return T.matmul(T.softmax(scores, axis=1), v)
+        return T.attention(T.matmul(x, self.wq), T.matmul(x, self.wk),
+                           T.matmul(x, self.wv))
 
     def params(self) -> dict:
         return {"wq": self.wq, "wk": self.wk, "wv": self.wv}
@@ -109,18 +106,8 @@ class MaskedMultiHeadAttention:
     def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.d:
             raise ShapeError(f"attention expects (*, {self.d}), got {x.shape}")
-        s = x.shape[0]
-        if mask.shape != (s, s):
-            raise ShapeError(f"mask shape {mask.shape} does not match {s} rows")
-        bias = T.attention_bias(mask)
-        scale = 1.0 / np.sqrt(self.d_head)
-        heads = []
-        for h in range(self.n_heads):
-            q = self.wq[h](x)
-            k = self.wk[h](x)
-            v = self.wv[h](x)
-            scores = T.matmul(q, T.transpose(k)) * scale + bias
-            heads.append(T.matmul(T.softmax(scores, axis=1), v))
+        heads = [T.attention(self.wq[h](x), self.wk[h](x), self.wv[h](x), mask)
+                 for h in range(self.n_heads)]
         return self.wo(T.concat(heads, axis=1))
 
     def params(self) -> dict:

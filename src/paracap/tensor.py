@@ -6,7 +6,8 @@ the output, so the graph reachable from a scalar is a ready-made dynamic
 tape: :func:`backward` walks it once in reverse topological order and
 accumulates exact analytic gradients into every ``requires_grad`` leaf.
 
-Everything runs eagerly in float64. There is no fusion, no graph
+Everything runs eagerly in float64. The one fused op, :func:`attention`,
+repeats the numpy calls of the primitives it stands for; there is no graph
 compilation and no hidden precision loss, which keeps central-difference
 verification (:func:`finite_diff_check`) meaningful down to ~1e-9.
 
@@ -512,10 +513,43 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(out, "layer_norm", (x, gain, bias), bw)
 
 
-def attention_bias(mask: np.ndarray) -> Tensor:
-    """Additive pre-softmax bias from a boolean mask: 0 where allowed, -1e9 where not."""
-    mask = np.asarray(mask, dtype=bool)
-    return Tensor(np.where(mask, 0.0, -1e9))
+def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
+    """Scaled dot-product attention, ``softmax(q k^T / sqrt(d) [+ bias]) v``, as one node.
+
+    ``d`` is the width of q and k. ``mask`` is an optional boolean (rows
+    of q, rows of k) matrix; a False entry adds -1e9 to its score before
+    the row softmax. Forward and
+    backward run the same numpy calls, in the same order, as the
+    matmul / transpose / mul / add / softmax composition they replace, so
+    values and gradients are bitwise equal to it.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise ShapeError(f"attention needs matrices, got {q.shape}, {k.shape}, {v.shape}")
+    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+        raise ShapeError(f"attention extents differ: q {q.shape}, k {k.shape}, v {v.shape}")
+    if mask is not None and np.shape(mask) != (q.shape[0], k.shape[0]):
+        raise ShapeError(f"mask shape {np.shape(mask)} does not match "
+                         f"{q.shape[0]} queries and {k.shape[0]} keys")
+    scale = 1.0 / np.sqrt(q.shape[1])
+    kt = k.values.T.copy()
+    scores = (q.values @ kt) * scale
+    if mask is not None:
+        scores = scores + np.where(mask, 0.0, -1e9)
+    if np.isnan(scores).any():
+        raise NumericalError("attention received NaN scores")
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+
+    def bw(g, q=q, k=k, v=v, kt=kt, p=p, scale=scale):
+        gp = g @ v.values.T
+        gv = p.T @ g
+        gs = p * (gp - (gp * p).sum(axis=1, keepdims=True)) * scale
+        _accum(q, gs @ kt.T)
+        _accum(k, (q.values.T @ gs).T)
+        _accum(v, gv)
+
+    return _make(p @ v.values, "attention", (q, k, v), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Independent reference implementations used to pin module behavior.
 
-Everything here is written as plain loops over numpy arrays or Python
+Most of this is written as plain loops over numpy arrays or Python
 floats, near the mathematical definitions and far from the library's
-vectorized code paths. Tests freeze agreement between the two.
+vectorized code paths. Where the library replaced a composition of tape
+primitives with one fused primitive, the composition lives on here.
+Tests freeze agreement between the two.
 """
 
 import math
 
 import numpy as np
+
+from paracap import tensor as T
+from paracap.tensor import Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +46,14 @@ def attention_loop(x, wq, wk, wv):
             for a in range(d):
                 out[i][a] += weights[j] * v[j][a]
     return out
+
+
+def attention_composed(q, k, v, mask=None):
+    """Scaled dot-product attention as five kinds of tape primitives."""
+    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(q.shape[1]))
+    if mask is not None:
+        scores = T.add(scores, Tensor(np.where(mask, 0.0, -1e9)))
+    return T.matmul(T.softmax(scores, axis=1), v)
 
 
 def select_and_fuse_loop(features, reference, wq, wk, wv):

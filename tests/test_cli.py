@@ -8,7 +8,7 @@ import re
 from typing import get_type_hints
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paracap.cli import main
@@ -52,18 +52,34 @@ TRAIN_KEYS = [(section, key, kind)
                                    ("loss", LossConfig))
               for key, kind in field_types(cls, DERIVED)]
 
+# manifest event fields and the annotated type each must have
+EVENT_FIELDS = [("begin", "float"), ("end", "float"), ("caption", "str")]
+
 _text = st.text(max_size=4)
 _list = st.lists(st.integers(), max_size=2)
-_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+_non_finite = st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400])
 # JSON values a field of each annotated type must reject: a string, a bool
-# for a number, a float for an int, a list, null, and a non-finite float
+# for a number, a float for an int, a list, null, and a number with no
+# finite float value
 WRONG = {
     "int": st.one_of(_text, st.booleans(), st.floats(), _list, st.none()),
     "float": st.one_of(_text, st.booleans(), _non_finite, _list, st.none()),
     "bool": st.one_of(_text, st.integers(), st.floats(), _list, st.none()),
     "tuple": st.one_of(_text, st.booleans(), st.integers(), st.floats(),
                        st.none()),
+    "str": st.one_of(st.booleans(), st.integers(), st.floats(), _list,
+                     st.none()),
 }
+
+
+def edited_manifest(data_dir, path, edit):
+    """The generated train manifest, its second video changed by ``edit``."""
+    lines = (data_dir / "train.jsonl").read_text().splitlines()
+    video = json.loads(lines[1])
+    edit(video)
+    lines[1] = json.dumps(video)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 def run_main(argv):
@@ -243,16 +259,27 @@ class TestTrain:
 
     def test_non_finite_manifest_value_is_rejected(self, data_dir, tmp_path,
                                                    capsys):
-        lines = (data_dir / "train.jsonl").read_text().splitlines()
-        video = json.loads(lines[1])
-        video["events"][0]["snippets"][1]["frame"][0] = float("nan")
-        lines[1] = json.dumps(video)
-        manifest = tmp_path / "nan.jsonl"
-        manifest.write_text("\n".join(lines) + "\n")
-        assert main(["train", "--manifest", str(manifest),
+        def edit(video):
+            video["events"][0]["snippets"][1]["frame"][0] = float("nan")
+        manifest = edited_manifest(data_dir, tmp_path / "nan.jsonl", edit)
+        assert main(["train", "--manifest", manifest,
                      "--table", str(data_dir / "table.json"),
                      "--out", str(tmp_path / "run")]) == 2
         assert "nan.jsonl:2 event 0 snippet 1: frame" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["event 0", "event 0 snippet 0"])
+    def test_non_object_manifest_entry_is_rejected(self, data_dir, tmp_path,
+                                                   capsys, where):
+        def edit(video):
+            entries = video["events"]
+            if "snippet" in where:
+                entries = entries[0]["snippets"]
+            entries.insert(0, 5)
+        manifest = edited_manifest(data_dir, tmp_path / "entry.jsonl", edit)
+        assert main(["train", "--manifest", manifest,
+                     "--table", str(data_dir / "table.json"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert f"entry.jsonl:2 {where}: expected an object" in capsys.readouterr().err
 
     def test_empty_manifest_is_rejected(self, data_dir, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
@@ -473,8 +500,9 @@ def scratch(tmp_path_factory):
 
 
 class TestConfigBoundary:
-    """Every settable key rejects a JSON value of the wrong type with exit 2
-    and the key named, before anything is written."""
+    """Every settable key and every manifest event field rejects a JSON value
+    of the wrong type with exit 2 and the key named, before anything is
+    written."""
 
     @settings(deadline=None)
     @given(case=st.sampled_from(GEN_KEYS).flatmap(
@@ -503,4 +531,23 @@ class TestConfigBoundary:
                               "--out", str(out)])
         assert code == 2, err
         assert re.search(rf"train\.json: {section}: {key}\b", err), err
+        assert not out.exists()
+
+    @settings(deadline=None)
+    @given(case=st.sampled_from(EVENT_FIELDS).flatmap(
+        lambda kt: st.tuples(st.just(kt[0]), WRONG[kt[1]])))
+    @example(case=("caption", 12345))
+    @example(case=("begin", "0"))
+    @example(case=("end", True))
+    @example(case=("begin", 10 ** 400))   # a JSON integer beyond the float range
+    def test_manifest_event_field_of_the_wrong_type(self, data_dir, scratch, case):
+        key, value = case
+        manifest = edited_manifest(data_dir, scratch / "events.jsonl",
+                                   lambda video: video["events"][0].update({key: value}))
+        out = scratch / "run"
+        code, err = run_main(["train", "--manifest", manifest,
+                              "--table", str(data_dir / "table.json"),
+                              "--out", str(out)])
+        assert code == 2, err
+        assert re.search(rf"events\.jsonl:2 event 0: .*\b{key}\b", err), err
         assert not out.exists()

@@ -99,9 +99,13 @@ class TestForwardValues:
         np.testing.assert_allclose(out.values, expected, atol=1e-15)
 
     def test_attention_bias_values(self):
+        # the mask adds exactly 0 to kept scores and -1e9 to masked ones:
+        # row 0's masked raw score 1e9 lands on 0 and ties with its neighbour,
+        # while row 1 keeps it and puts all its weight on key 1
         mask = np.array([[True, False], [True, True]])
-        out = T.attention_bias(mask)
-        np.testing.assert_array_equal(out.values, [[0.0, -1e9], [0.0, 0.0]])
+        q, k = Tensor(np.ones((2, 1))), Tensor(np.array([[0.0], [1e9]]))
+        out = T.attention(q, k, Tensor(np.eye(2)), mask)
+        np.testing.assert_array_equal(out.values, [[0.5, 0.5], [0.0, 1.0]])
 
 
 class TestBackward:
@@ -135,15 +139,39 @@ class TestBackward:
         np.testing.assert_array_equal(b.grad, np.full(4, 3.0))
 
     def test_masked_attention_ignores_masked_content(self, rng):
-        scores = rng.normal(size=(3, 3))
+        # causal mask: row 1 sees keys 0-1, so key 2 is masked for it
         mask = np.tril(np.ones((3, 3), dtype=bool))
-        biased = Tensor(scores) + T.attention_bias(mask)
-        weights = T.softmax(biased, axis=1).values
-        scores2 = scores.copy()
-        scores2[0, 2] += 100.0
-        biased2 = Tensor(scores2) + T.attention_bias(mask)
-        weights2 = T.softmax(biased2, axis=1).values
-        np.testing.assert_array_equal(weights[0], weights2[0])
+        row1 = Tensor(np.array([[0.0], [1.0], [0.0]]))
+        q, k, v = (leaf(rng.normal(size=(3, 4))) for _ in range(3))
+        out = T.attention(q, k, v, mask)
+        T.backward(T.tsum(out * row1))
+        k2 = k.values.copy()
+        k2[2] += 100.0   # moves the masked score (1, 2)
+        out2 = T.attention(Tensor(q.values), Tensor(k2), Tensor(v.values), mask)
+        np.testing.assert_array_equal(out.values[1], out2.values[1])
+        assert (k.grad[2] == 0.0).all() and (v.grad[2] == 0.0).all()
+        assert (k.grad[:2] != 0.0).any() and (v.grad[:2] != 0.0).any()
+
+
+class TestAttention:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_the_composed_oracle_bitwise(self, rng, masked):
+        mask = np.tril(np.ones((4, 5), dtype=bool), k=1) if masked else None
+        w = rng.normal(size=(4, 3))
+        draws = [rng.normal(size=shape) for shape in ((4, 6), (5, 6), (5, 3))]
+        results = []
+        for attend in (T.attention, oracles.attention_composed):
+            q, k, v = (leaf(d) for d in draws)
+            out = attend(q, k, v, mask)
+            T.backward(T.tsum(out * Tensor(w)))
+            results.append((out.values, q.grad, k.grad, v.grad))
+        for fused, composed in zip(*results):
+            np.testing.assert_array_equal(fused, composed)
+
+    def test_rejects_nan_scores(self):
+        q = Tensor(np.array([[np.nan, 0.0]]))
+        with pytest.raises(NumericalError):
+            T.attention(q, Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
 
 
 class TestFiniteDifference:
