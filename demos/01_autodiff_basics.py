@@ -73,12 +73,12 @@ def main():
     print("the last key, masked for rows 0-1, receives exactly zero gradient:",
           bool((k.grad[2] == 0).all()))
 
-    banner("the package-wide check, in miniature")
-    from paracap.gradcheck import run_primitive_checks
-    worst = run_primitive_checks(n_seeds=2)
+    banner("the package-wide primitive check")
+    from paracap.gradcheck import N_SEEDS, run_primitive_checks
+    worst = run_primitive_checks()
     top = sorted(worst.items(), key=lambda kv: -kv[1])[:5]
     print("worst relative errors per primitive (top 5 of "
-          f"{len(worst)}, 2 seeds each):")
+          f"{len(worst)}, {N_SEEDS} seeds each):")
     for name, e in top:
         print(f"  {name:<22} {e:.2e}")
     print("every primitive sits far below the 1e-6 gate.")

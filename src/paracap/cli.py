@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 from . import gradcheck
 from .data import (RESERVED, SyntheticWorldSpec, Vocabulary, build_vocab, detokenize,
@@ -30,24 +30,13 @@ from .training import TrainConfig, decode_pairs, evaluate, train
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class GradcheckConfig:
-    """The ``gradcheck`` config: seeds per primitive case, end-to-end seed."""
-
-    n_seeds: int = 10
-    seed: int = 7
-
-    def __post_init__(self):
-        require_at_least(self, 1, "n_seeds")
-
-
 def _load_config(path) -> dict:
     if path is None:
         return {}
     cfg = read_json_object(path, "config")
     version = cfg.pop("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ValidationError(f"{path}: schema_version {version} unsupported "
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValidationError(f"{path}: schema_version {version!r} unsupported "
                               f"(expected {SCHEMA_VERSION})")
     return cfg
 
@@ -72,12 +61,22 @@ def _infer_dims(records) -> dict:
 
 
 def _max_rows_needed(records, max_len: int) -> int:
+    # 1-2 rows over the exact need; pos_embed's size fixes later init draws
     need = 0
     for rec in records:
         for ev in rec.events:
             n_text = len(tokenize(ev.caption)) + 2    # bos + tokens + eos
             need = max(need, len(ev.snippets) + max(n_text, max_len + 1))
     return need + 1
+
+
+def _check_inputs(model, records, table, vocab, args, model_src, teacher_forced=False):
+    """``CaptionModel.check_inputs``, with the run's input files named in its error."""
+    try:
+        model.check_inputs(records, table, vocab, teacher_forced)
+    except ValidationError as exc:
+        raise ValidationError(f"{model_src} with {args.manifest} and {args.table}: "
+                              f"{exc}") from None
 
 
 def cmd_gen_data(args) -> int:
@@ -111,24 +110,19 @@ def cmd_train(args) -> int:
     model_section = cfg.get("model", {})
     derived = dict(_infer_dims(records), vocab_size=len(vocab))
     model_cfg = build_dataclass(ModelConfig, model_section, f"{src}: model", **derived,
-                                k=args.k, max_len=args.max_len, seed=args.seed,
-                                modalities=args.modalities)
+                                seed=args.seed)
     for key in model_section:
         if key in derived:
             raise ValidationError(f"{src}: model: {key} is read from the data, not the config")
     if "max_pos" not in model_section:
         model_cfg = replace(model_cfg, max_pos=_max_rows_needed(records, model_cfg.max_len))
-    if model_cfg.k > table.n_tokens:
-        raise ValidationError(f"k={model_cfg.k} exceeds the {table.n_tokens} "
-                              "tokens in the embedding table")
 
     train_cfg = build_dataclass(TrainConfig, cfg.get("train", {}), f"{src}: train",
                                 seed=args.seed)
-    loss_cfg = build_dataclass(LossConfig, cfg.get("loss", {}), f"{src}: loss",
-                               use_contrastive={"combined": True, "mle": False}.get(args.loss))
+    loss_cfg = build_dataclass(LossConfig, cfg.get("loss", {}), f"{src}: loss")
 
     model = CaptionModel(model_cfg)
-    model.check_table(table, vocab)
+    _check_inputs(model, records, table, vocab, args, src, teacher_forced=True)
     out = _ensure_out(args.out)
     ckpt_path = os.path.join(out, "checkpoint.json")
     _write_run_config(out, "train", train_cfg.seed, {
@@ -137,9 +131,9 @@ def cmd_train(args) -> int:
         history = train(model, records, table, vocab, train_cfg, loss_cfg,
                         log_path=os.path.join(out, "train_log.jsonl"))
     except NumericalError:
-        model.save_checkpoint(ckpt_path, vocab_tokens=vocab.id_to_token)
+        model.save_checkpoint(ckpt_path, vocab.id_to_token)
         raise
-    model.save_checkpoint(ckpt_path, vocab_tokens=vocab.id_to_token)
+    model.save_checkpoint(ckpt_path, vocab.id_to_token)
     final = history[-1].acc if history else float("nan")
     print(f"trained {len(history)} epochs; final teacher-forced accuracy "
           f"{final:.3f}; checkpoint at {ckpt_path}")
@@ -163,17 +157,16 @@ def _load_eval_inputs(args):
     if not records:
         raise ValidationError(f"{args.manifest}: manifest holds no videos")
     table = VocabEmbeddingTable.load(args.table)
-    model.check_table(table, vocab)
+    _check_inputs(model, records, table, vocab, args, args.checkpoint)
     out = _ensure_out(args.out)
     _write_run_config(out, args.subcommand, model.config.seed, {
-        "checkpoint": args.checkpoint, "manifest": args.manifest,
-        "table": args.table, "max_len": args.max_len})
+        "checkpoint": args.checkpoint, "manifest": args.manifest, "table": args.table})
     return model, vocab, records, table, out
 
 
 def cmd_eval(args) -> int:
     model, vocab, records, table, out = _load_eval_inputs(args)
-    rep = evaluate(model, records, table, vocab, max_len=args.max_len)
+    rep = evaluate(model, records, table, vocab)
     with open(os.path.join(out, "report.json"), "w") as fh:
         json.dump(rep, fh, indent=2)
     print(json.dumps(rep, indent=2))
@@ -182,7 +175,7 @@ def cmd_eval(args) -> int:
 
 def cmd_decode(args) -> int:
     model, vocab, records, table, out = _load_eval_inputs(args)
-    pairs = decode_pairs(model, records, table, vocab, args.max_len)
+    pairs = decode_pairs(model, records, table, vocab)
     path = os.path.join(out, "decoded.jsonl")
     with open(path, "w") as fh:
         for rec, pair in zip(records, pairs):
@@ -194,11 +187,10 @@ def cmd_decode(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = build_dataclass(GradcheckConfig, _load_config(args.config),
-                          args.config or "gradcheck config", seed=args.seed)
-    prim = gradcheck.run_primitive_checks(n_seeds=cfg.n_seeds)
+    require_at_least(args, 0, "seed")
+    prim = gradcheck.run_primitive_checks()
     print(f"primitives ok: {len(prim)} ops, worst {max(prim.values()):.3e}")
-    full = gradcheck.run_end_to_end_check(seed=cfg.seed)
+    full = gradcheck.run_end_to_end_check(seed=args.seed)
     print(f"end-to-end ok: {len(full)} parameter tensors, "
           f"worst {max(full.values()):.3e}")
     return 0
@@ -223,13 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--manifest", required=True, help="training manifest (JSON lines)")
     p.add_argument("--table", required=True, help="vocabulary embedding table JSON")
-    # the encoder rejects unknown names and an empty list
-    p.add_argument("--modalities", help="comma list from env,agent,ling",
-                   type=lambda s: [m.strip() for m in s.split(",") if m.strip()])
-    p.add_argument("--loss", choices=("combined", "mle"),
-                   help="combined = captioning + alignment, mle = captioning only")
-    p.add_argument("--max-len", type=int, help="decode length cap stored in the model")
-    p.add_argument("--k", type=int, help="scene elements retrieved per snippet")
     p.set_defaults(func=cmd_train)
 
     for name, func, help_text in (
@@ -240,12 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--manifest", required=True)
         p.add_argument("--table", required=True)
-        p.add_argument("--max-len", type=int)
         p.set_defaults(func=func)
 
     p = sub.add_parser("gradcheck", help="run the finite-difference suites")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=7, help="end-to-end check seed")
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -189,11 +189,6 @@ class SnippetEncoder:
     def __init__(self, rng: np.random.Generator, d_env: int, d_agent: int,
                  d_element: int, d_emb: int, ff_mult: int = 2,
                  modalities: tuple = MODALITIES):
-        bad = [m for m in modalities if m not in MODALITIES]
-        if bad:
-            raise ValidationError(f"unknown modalities {bad}; choose from {MODALITIES}")
-        if not modalities:
-            raise ValidationError("at least one modality is required")
         self.d_emb = d_emb
         self.modalities = tuple(modalities)
         hidden = ff_mult * d_emb

@@ -20,6 +20,7 @@ from .tensor import Tensor
 
 PRIMITIVE_TOL = 1e-6
 END_TO_END_TOL = 1e-4
+N_SEEDS = 10   # random draws per primitive case
 
 
 def _weights(rng, shape):
@@ -196,8 +197,8 @@ def _primitive_cases():
     return cases + [("attention", case_attention)]
 
 
-def run_primitive_checks(n_seeds: int = 10) -> dict:
-    """Check every primitive against central differences over many seeds.
+def run_primitive_checks() -> dict:
+    """Check every primitive against central differences over ``N_SEEDS`` seeds.
 
     Returns {primitive: worst relative error}; raises if any exceeds
     ``PRIMITIVE_TOL``.
@@ -205,7 +206,7 @@ def run_primitive_checks(n_seeds: int = 10) -> dict:
     worst = {}
     for case_index, (name, builder) in enumerate(_primitive_cases()):
         errs = []
-        for seed in range(n_seeds):
+        for seed in range(N_SEEDS):
             rng = np.random.default_rng([case_index, seed])
             f, x = builder(rng)
             errs.append(T.finite_diff_check(f, x))

@@ -43,7 +43,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.modalities = tuple(self.modalities)
+        mods = self.modalities = tuple(self.modalities)
+        if not mods or any(m not in MODALITIES for m in mods) or len(set(mods)) < len(mods):
+            raise ValidationError(f"modalities must be one or more distinct names from "
+                                  f"{MODALITIES}, got {list(mods)}")
         require_at_least(self, 1, "d_env", "d_agent", "d_frame", "d_emb", "n_layers",
                          "n_heads", "ff_mult", "max_pos", "k", "max_len")
         if self.d_emb % self.n_heads != 0:
@@ -142,29 +145,43 @@ class CaptionModel:
                                          max_len, BOS_ID, EOS_ID))
         return out
 
+    def check_inputs(self, records, table: VocabEmbeddingTable, vocab: Vocabulary,
+                     teacher_forced: bool = False):
+        """Reject a table, vocabulary or video this model cannot run.
+
+        An event takes a row per snippet, one for BOS and one per text token:
+        ``max_len`` decoded ones, or its caption's if more and ``teacher_forced``.
+        """
+        cfg = self.config
+        if table.d_feature != cfg.d_frame:
+            raise ValidationError(f"embedding table width {table.d_feature} does not "
+                                  f"match model d_frame {cfg.d_frame}")
+        if len(vocab) != cfg.vocab_size:
+            raise ValidationError(f"mismatched vocab: {len(vocab)} tokens vs model "
+                                  f"vocab_size {cfg.vocab_size}")
+        if "ling" in cfg.modalities and cfg.k > table.n_tokens:
+            raise ValidationError(f"k={cfg.k} exceeds the {table.n_tokens} "
+                                  "tokens in the embedding table")
+        for rec in records:
+            for i, event in enumerate(rec.events):
+                n_text = len(tokenize(event.caption)) if teacher_forced else 0
+                rows = len(event.snippets) + 1 + max(n_text, cfg.max_len)
+                if rows > cfg.max_pos:
+                    raise ValidationError(f"video {rec.video_id} event {i} needs {rows} "
+                                          f"rows, more than max_pos {cfg.max_pos}")
+
     # ------------------------------------------------------------------
     # persistence
 
-    def check_table(self, table: VocabEmbeddingTable, vocab: Vocabulary):
-        """Reject eval-time artifacts that do not match this model's setup."""
-        if table.d_feature != self.config.d_frame:
-            raise ValidationError(f"embedding table width {table.d_feature} does not "
-                                  f"match model d_frame {self.config.d_frame}")
-        if len(vocab) != self.config.vocab_size:
-            raise ValidationError(f"mismatched vocab: {len(vocab)} tokens vs model "
-                                  f"vocab_size {self.config.vocab_size}")
-
-    def save_checkpoint(self, path: str, vocab_tokens=None):
+    def save_checkpoint(self, path: str, vocab_tokens):
         payload = {
             "format_version": CHECKPOINT_VERSION,
-            "config": asdict(self.config),
+            "config": dict(asdict(self.config), vocab_tokens=list(vocab_tokens)),
             "params": {
                 name: {"shape": list(p.values.shape), "values": p.values.ravel().tolist()}
                 for name, p in self.named_params().items()
             },
         }
-        if vocab_tokens is not None:
-            payload["config"]["vocab_tokens"] = list(vocab_tokens)
         with open(path, "w") as fh:
             fh.write(json.dumps(payload))
 
@@ -175,8 +192,9 @@ class CaptionModel:
         for key in ("config", "params"):
             if not isinstance(payload[key], dict):
                 raise ValidationError(f"{path}: {key} must be a JSON object")
-        if payload["format_version"] != CHECKPOINT_VERSION:
-            raise ValidationError(f"{path}: format_version {payload['format_version']} "
+        version = payload["format_version"]
+        if type(version) is not int or version != CHECKPOINT_VERSION:
+            raise ValidationError(f"{path}: format_version {version!r} "
                                   f"unsupported (expected {CHECKPOINT_VERSION})")
         vocab_tokens = payload["config"].pop("vocab_tokens", None)
         model = cls(build_dataclass(ModelConfig, payload["config"], f"{path}: config"))

@@ -204,20 +204,20 @@ def train(model, records, table, vocab, cfg: TrainConfig, loss_cfg: L.LossConfig
     return history
 
 
-def decode_pairs(model, records, table, vocab, max_len: int = None) -> list:
+def decode_pairs(model, records, table, vocab) -> list:
     """Greedy-decode every video into metric-ready paragraph pairs."""
     if not records:
         raise ValidationError("cannot decode an empty dataset")
     pairs = []
     for rec in records:
-        hyp_ids = model.decode_video(rec, table, max_len)
+        hyp_ids = model.decode_video(rec, table)
         hyps = [vocab.decode(ids) for ids in hyp_ids]
         refs = [tokenize(ev.caption) for ev in rec.events]
         pairs.append(M.ParagraphPair(hyps=hyps, refs=refs))
     return pairs
 
 
-def evaluate(model, records, table, vocab, max_len: int = None) -> dict:
+def evaluate(model, records, table, vocab) -> dict:
     """Greedy decoding plus the metric report, deterministic end to end."""
-    model.check_table(table, vocab)
-    return M.report(decode_pairs(model, records, table, vocab, max_len))
+    model.check_inputs(records, table, vocab)
+    return M.report(decode_pairs(model, records, table, vocab))

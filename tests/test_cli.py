@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paracap.cli import main
-from paracap.data import SyntheticWorldSpec
+from paracap.data import SyntheticWorldSpec, load_manifest, tokenize
 from paracap.losses import LossConfig
 from paracap.model import ModelConfig
 from paracap.training import TrainConfig
@@ -194,9 +194,10 @@ class TestTrain:
         assert run["config"]["model"]["seed"] == 11
 
     def test_mle_flag_disables_the_contrastive_term(self, data_dir, tmp_path):
-        cfg = write_json(tmp_path / "t.json", TRAIN_CONFIG)
+        cfg = write_json(tmp_path / "t.json",
+                         dict(TRAIN_CONFIG, loss={"use_contrastive": False}))
         out = tmp_path / "run"
-        assert main(["train", "--config", cfg, "--loss", "mle",
+        assert main(["train", "--config", cfg,
                      "--manifest", str(data_dir / "train.jsonl"),
                      "--table", str(data_dir / "table.json"),
                      "--out", str(out)]) == 0
@@ -206,12 +207,17 @@ class TestTrain:
         assert all(json.loads(line)["L_con"] == 0.0 for line in log)
 
     def test_oversized_k_is_rejected(self, data_dir, tmp_path, capsys):
-        cfg = write_json(tmp_path / "t.json", TRAIN_CONFIG)
-        assert main(["train", "--config", cfg, "--k", "99",
+        cfg_obj = json.loads(json.dumps(TRAIN_CONFIG))
+        cfg_obj["model"]["k"] = 99
+        cfg = write_json(tmp_path / "t.json", cfg_obj)
+        assert main(["train", "--config", cfg,
                      "--manifest", str(data_dir / "train.jsonl"),
                      "--table", str(data_dir / "table.json"),
                      "--out", str(tmp_path / "run")]) == 2
-        assert "exceeds" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "t.json" in err and "table.json" in err
+        assert "k=99 exceeds" in err
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_config_section_is_rejected(self, data_dir, tmp_path,
                                                 capsys):
@@ -224,8 +230,10 @@ class TestTrain:
         assert "unknown config section" in capsys.readouterr().err
 
     def test_unknown_modality_is_rejected(self, data_dir, tmp_path, capsys):
-        cfg = write_json(tmp_path / "t.json", TRAIN_CONFIG)
-        assert main(["train", "--config", cfg, "--modalities", "env,bogus",
+        cfg_obj = json.loads(json.dumps(TRAIN_CONFIG))
+        cfg_obj["model"]["modalities"] = ["env", "bogus"]
+        cfg = write_json(tmp_path / "t.json", cfg_obj)
+        assert main(["train", "--config", cfg,
                      "--manifest", str(data_dir / "train.jsonl"),
                      "--table", str(data_dir / "table.json"),
                      "--out", str(tmp_path / "run")]) == 2
@@ -242,13 +250,16 @@ class TestTrain:
 
     def test_wrong_schema_version_is_rejected(self, data_dir, tmp_path,
                                               capsys):
-        cfg = write_json(tmp_path / "t.json",
-                         dict(TRAIN_CONFIG, schema_version=99))
-        assert main(["train", "--config", cfg,
-                     "--manifest", str(data_dir / "train.jsonl"),
-                     "--table", str(data_dir / "table.json"),
-                     "--out", str(tmp_path / "run")]) == 2
-        assert "schema_version" in capsys.readouterr().err
+        # true and 1.0 equal 1 in Python but are not the JSON integer 1
+        for version in (99, True, 1.0):
+            cfg = write_json(tmp_path / "t.json",
+                             dict(TRAIN_CONFIG, schema_version=version))
+            assert main(["train", "--config", cfg,
+                         "--manifest", str(data_dir / "train.jsonl"),
+                         "--table", str(data_dir / "table.json"),
+                         "--out", str(tmp_path / "run")]) == 2
+            assert "t.json: schema_version" in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
 
     def test_missing_manifest_exits_one(self, data_dir, tmp_path, capsys):
         assert main(["train",
@@ -311,6 +322,56 @@ class TestTrain:
                      "--out", str(tmp_path / "run")]) == 2
         assert "t.json: model must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("modalities", ["env", "env"], "t.json: model: modalities must be"),
+        # 2 snippets + BOS + 8 decoded tokens need 11 positions
+        ("max_pos", 10, "more than max_pos 10"),
+    ], ids=["repeated-modality", "small-max-pos"])
+    def test_model_that_cannot_run_is_rejected_before_any_output(
+            self, data_dir, tmp_path, capsys, key, value, message):
+        cfg_obj = json.loads(json.dumps(TRAIN_CONFIG))
+        cfg_obj["model"][key] = value
+        cfg = write_json(tmp_path / "t.json", cfg_obj)
+        assert main(["train", "--config", cfg,
+                     "--manifest", str(data_dir / "train.jsonl"),
+                     "--table", str(data_dir / "table.json"),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "t.json" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_max_pos_bound_is_the_exact_row_count(self, data_dir, tmp_path,
+                                                  capsys):
+        # training feeds BOS plus the caption, decoding BOS plus up to
+        # max_len tokens, after one row per snippet; an untrained model
+        # decodes to the cap, so the decode below fills every position
+        records = load_manifest(str(data_dir / "train.jsonl"))
+        max_len = TRAIN_CONFIG["model"]["max_len"]
+        need = max(len(ev.snippets) + 1 + max(len(tokenize(ev.caption)), max_len)
+                   for rec in records for ev in rec.events)
+        cfg_obj = json.loads(json.dumps(TRAIN_CONFIG))
+        cfg_obj["train"].update(epochs=0, warmup_epochs=0)
+        codes = []
+        for max_pos in (need - 1, need):
+            cfg_obj["model"]["max_pos"] = max_pos
+            cfg = write_json(tmp_path / "t.json", cfg_obj)
+            codes.append(main(["train", "--config", cfg,
+                               "--manifest", str(data_dir / "train.jsonl"),
+                               "--table", str(data_dir / "table.json"),
+                               "--out", str(tmp_path / f"run{max_pos}")]))
+        assert codes == [2, 0]
+        ckpt = json.loads((tmp_path / f"run{need}" / "checkpoint.json").read_text())
+        n_snippets = len(records[0].events[0].snippets)
+        for cap, code in ((need - n_snippets - 1, 0), (need - n_snippets, 2)):
+            ckpt["config"]["max_len"] = cap
+            path = tmp_path / f"cap{cap}.json"
+            path.write_text(json.dumps(ckpt))
+            assert main(["decode", "--checkpoint", str(path),
+                         "--manifest", str(data_dir / "train.jsonl"),
+                         "--table", str(data_dir / "table.json"),
+                         "--out", str(tmp_path / f"dec{cap}")]) == code
+        capsys.readouterr()
+
 
 class TestEvalAndDecode:
     def eval_args(self, run_dir, data_dir, out, manifest="held_out.jsonl"):
@@ -360,13 +421,23 @@ class TestEvalAndDecode:
             outs.append((out / "decoded.jsonl").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_max_len_caps_decoded_sentences(self, run_dir, data_dir, tmp_path):
+    def test_max_len_caps_decoded_sentences(self, data_dir, tmp_path):
+        cfg_obj = json.loads(json.dumps(TRAIN_CONFIG))
+        cfg_obj["model"]["max_len"] = 3
+        cfg_obj["train"].update(epochs=0, warmup_epochs=0)
+        cfg = write_json(tmp_path / "t.json", cfg_obj)
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg,
+                     "--manifest", str(data_dir / "train.jsonl"),
+                     "--table", str(data_dir / "table.json"),
+                     "--out", str(run)]) == 0
         out = tmp_path / "dec"
-        assert main(["decode", "--max-len", "3"] +
-                    self.eval_args(run_dir, data_dir, out)) == 0
-        for line in (out / "decoded.jsonl").read_text().splitlines():
-            for sentence in json.loads(line)["sentences"]:
-                assert len(sentence.split()) <= 3
+        assert main(["decode"] + self.eval_args(run, data_dir, out)) == 0
+        assert "max_len" not in json.loads((out / "run_config.json").read_text())["config"]
+        lengths = [len(sentence.split())
+                   for line in (out / "decoded.jsonl").read_text().splitlines()
+                   for sentence in json.loads(line)["sentences"]]
+        assert max(lengths) == 3   # the untrained model runs to the cap
 
     def test_eval_rejects_a_table_of_the_wrong_width(self, run_dir, data_dir,
                                                      tmp_path, capsys):
@@ -406,6 +477,48 @@ class TestEvalAndDecode:
         assert "nan.json: decoder.head.w holds a non-finite value" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"format_version": True}, "format_version True unsupported"),
+        ({"format_version": 1.0}, "format_version 1.0 unsupported"),
+        ({"modalities": ["bogus"]}, "bad.json: config: modalities must be"),
+        # 2 snippets + BOS + 64 decoded tokens outgrow the trained max_pos
+        ({"max_len": 64}, "rows, more than max_pos"),
+    ], ids=["version-true", "version-float", "modality", "max-len"])
+    def test_bad_checkpoint_is_rejected_before_any_output(
+            self, run_dir, data_dir, tmp_path, capsys, edit, message):
+        ckpt = json.loads((run_dir / "checkpoint.json").read_text())
+        if "format_version" in edit:
+            ckpt.update(edit)
+        else:
+            ckpt["config"].update(edit)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(ckpt))
+        for command in ("eval", "decode"):
+            out = tmp_path / "out"
+            args = self.eval_args(run_dir, data_dir, out)
+            args[args.index("--checkpoint") + 1] = str(bad)
+            assert main([command] + args) == 2
+            err = capsys.readouterr().err
+            assert "bad.json" in err and message in err
+            assert not out.exists()
+
+    def test_table_with_fewer_tokens_than_k_is_rejected(self, run_dir, data_dir,
+                                                        tmp_path, capsys):
+        table = json.loads((data_dir / "table.json").read_text())
+        table["tokens"] = table["tokens"][:1]
+        table["text_features"] = table["text_features"][:1]
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps(table))
+        for command in ("eval", "decode"):
+            out = tmp_path / "out"
+            args = self.eval_args(run_dir, data_dir, out)
+            args[args.index("--table") + 1] = str(small)
+            assert main([command] + args) == 2
+            err = capsys.readouterr().err
+            assert "checkpoint.json" in err and "small.json" in err
+            assert "k=2 exceeds the 1 tokens" in err
+            assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "decode"])
     def test_config_and_seed_flags_are_usage_errors(self, run_dir, data_dir,
                                                     tmp_path, capsys, command):
@@ -432,16 +545,35 @@ class TestUsage:
         assert main(["--help"]) == 0
         assert "gen-data" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, flag", [
+        ("train", ["--k", "2"]), ("train", ["--max-len", "3"]),
+        ("train", ["--modalities", "env"]), ("train", ["--loss", "mle"]),
+        ("eval", ["--max-len", "3"]), ("decode", ["--max-len", "3"]),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_removed_flag_is_a_usage_error(self, data_dir, tmp_path, capsys,
+                                           command, flag):
+        # each of these values has one way in: the train config, or the
+        # checkpoint that config produced
+        inputs = (["--manifest", str(data_dir / "train.jsonl")] if command == "train"
+                  else ["--checkpoint", str(tmp_path / "c.json"),
+                        "--manifest", str(data_dir / "held_out.jsonl")])
+        out = tmp_path / "out"
+        assert main([command] + flag + inputs +
+                    ["--table", str(data_dir / "table.json"),
+                     "--out", str(out)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGradcheckCommand:
     def test_exit_zero_and_summary_lines(self, monkeypatch, capsys):
         calls = {}
 
-        def fake_prim(n_seeds=10):
-            calls["n_seeds"] = n_seeds
+        def fake_prim():
+            calls["primitives"] = True
             return {"add": 1e-12}
 
-        def fake_full(seed=7):
+        def fake_full(seed):
             calls["seed"] = seed
             return {"w": 2e-10}
 
@@ -453,28 +585,23 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "primitives ok" in out
         assert "end-to-end ok" in out
-        assert calls == {"n_seeds": 10, "seed": 7}
+        assert calls == {"primitives": True, "seed": 7}
 
     def test_config_and_seed_flag_are_forwarded(self, monkeypatch, capsys,
                                                 tmp_path):
-        seen = {}
-
-        def fake_prim(n_seeds=10):
-            seen["n_seeds"] = n_seeds
-            return {"add": 1e-12}
-
-        def fake_full(seed=7):
-            seen["seed"] = seed
-            return {"w": 2e-10}
-
+        # gradcheck reads no config file: --config is refused before any
+        # check runs, and --seed is the one setting it forwards
+        seen = []
         monkeypatch.setattr("paracap.gradcheck.run_primitive_checks",
-                            fake_prim)
+                            lambda: seen.append("primitives") or {"add": 1e-12})
         monkeypatch.setattr("paracap.gradcheck.run_end_to_end_check",
-                            fake_full)
+                            lambda seed: seen.append(seed) or {"w": 2e-10})
         cfg = write_json(tmp_path / "g.json", {"n_seeds": 2, "seed": 5})
-        assert main(["gradcheck", "--config", cfg, "--seed", "6"]) == 0
+        assert main(["gradcheck", "--config", cfg, "--seed", "6"]) == 1
+        assert seen == []
+        assert main(["gradcheck", "--seed", "6"]) == 0
         capsys.readouterr()
-        assert seen == {"n_seeds": 2, "seed": 6}
+        assert seen == ["primitives", 6]
 
     @pytest.mark.parametrize("cfg_obj, key", [
         ({"nseeds": 2}, "nseeds"), ({"n_seeds": "x"}, "n_seeds"),
@@ -483,14 +610,19 @@ class TestGradcheckCommand:
     ])
     def test_bad_config_exits_two_naming_the_key(self, monkeypatch, capsys,
                                                  tmp_path, cfg_obj, key):
+        # gradcheck takes no config file, so --config is a usage error
+        # whatever the file holds
         ran = []
         monkeypatch.setattr("paracap.gradcheck.run_primitive_checks",
-                            lambda n_seeds=10: ran.append(n_seeds) or {"add": 0.0})
+                            lambda: ran.append("primitives") or {"add": 0.0})
         monkeypatch.setattr("paracap.gradcheck.run_end_to_end_check",
-                            lambda seed=7: ran.append(seed) or {"w": 0.0})
+                            lambda seed: ran.append(seed) or {"w": 0.0})
         cfg = write_json(tmp_path / "g.json", cfg_obj)
-        assert main(["gradcheck", "--config", cfg]) == 2
-        assert key in capsys.readouterr().err
+        assert main(["gradcheck", "--config", cfg]) == 1
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        if key == "seed":
+            assert main(["gradcheck", "--seed", str(cfg_obj["seed"])]) == 2
+            assert "seed must be >= 0" in capsys.readouterr().err
         assert ran == []
 
 

@@ -330,4 +330,4 @@ class TestCheckpoint:
         corpus, vocab, model = build_setup(seed=4)
         bigger = Vocabulary(vocab.id_to_token[4:] + ["stray"])
         with pytest.raises(ValidationError, match="mismatched vocab"):
-            model.check_table(corpus.table, bigger)
+            model.check_inputs(corpus.train, corpus.table, bigger)

@@ -9,6 +9,7 @@ from paracap.encoder import (MODALITIES, SnippetEncoder, SnippetInput,
                              VocabEmbeddingTable, fuse_modalities,
                              select_and_fuse, select_scene_elements)
 from paracap.errors import ShapeError, ValidationError
+from paracap.model import ModelConfig
 from paracap.nn import SelfAttention
 from paracap.tensor import Tensor
 
@@ -203,8 +204,8 @@ class TestSnippetEncoder:
         np.testing.assert_allclose(rows.values[1], one.values, atol=1e-15)
 
     def test_all_modalities_disabled_rejected(self):
-        with pytest.raises(ValidationError):
-            self.make_encoder(1, modalities=())
+        with pytest.raises(ValidationError, match="one or more distinct names"):
+            ModelConfig(d_env=5, d_agent=4, d_frame=6, vocab_size=8, modalities=())
 
 
 class TestEmbeddingTable:

@@ -225,26 +225,25 @@ class TestTrainLoop:
 
 
 class TestEvaluation:
-    def test_decode_pairs_reference_is_the_tokenized_caption(self, tiny_setup):
-        corpus, vocab, model = tiny_setup
-        pairs = decode_pairs(model, corpus.train, corpus.table, vocab,
-                             max_len=4)
+    def test_decode_pairs_reference_is_the_tokenized_caption(self):
+        corpus, vocab, model = build_setup(model_overrides={"max_len": 4})
+        pairs = decode_pairs(model, corpus.train, corpus.table, vocab)
         assert len(pairs) == len(corpus.train)
         for rec, pair in zip(corpus.train, pairs):
             assert pair.refs == [tokenize(ev.caption) for ev in rec.events]
             for hyp in pair.hyps:
                 assert all(isinstance(w, str) for w in hyp)
 
-    def test_evaluate_reports_the_corpus_counts(self, tiny_setup):
-        corpus, vocab, model = tiny_setup
-        rep = evaluate(model, corpus.train, corpus.table, vocab, max_len=4)
+    def test_evaluate_reports_the_corpus_counts(self):
+        corpus, vocab, model = build_setup(model_overrides={"max_len": 4})
+        rep = evaluate(model, corpus.train, corpus.table, vocab)
         assert rep["n_videos"] == len(corpus.train)
         assert rep["n_events"] == sum(len(r.events) for r in corpus.train)
 
-    def test_evaluate_twice_is_identical(self, tiny_setup):
-        corpus, vocab, model = tiny_setup
-        a = evaluate(model, corpus.train, corpus.table, vocab, max_len=4)
-        b = evaluate(model, corpus.train, corpus.table, vocab, max_len=4)
+    def test_evaluate_twice_is_identical(self):
+        corpus, vocab, model = build_setup(model_overrides={"max_len": 4})
+        a = evaluate(model, corpus.train, corpus.table, vocab)
+        b = evaluate(model, corpus.train, corpus.table, vocab)
         assert a == b
 
     def test_evaluate_rejects_mismatched_vocab(self, tiny_setup):
