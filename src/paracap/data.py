@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import SnippetInput, VocabEmbeddingTable
-from .errors import ValidationError, is_finite_number, require_at_least
+from .errors import ValidationError, is_finite_number, require_at_least, atomic_write
 
 PAD, BOS, EOS, UNK = "[PAD]", "[BOS]", "[EOS]", "[UNK]"
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
@@ -199,7 +199,7 @@ def generate_synthetic(spec: SyntheticWorldSpec) -> SyntheticCorpus:
 # manifest files: one JSON object per line, one line per video
 
 def save_manifest(records, path: str):
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for rec in records:
             payload = {
                 "video_id": rec.video_id,

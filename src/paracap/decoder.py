@@ -78,12 +78,16 @@ class DecoderLayer:
         self.mem_attn = SelfAttention(rng, d)
         self.mem_mlp = MLP(rng, d, ff_mult * d, d)
 
-    def inner(self, h: Tensor, mask: np.ndarray) -> Tensor:
-        h = self.attn(self.ln1(h), mask) + h
+    def inner(self, h: Tensor, mask, cache: dict = None) -> Tensor:
+        """In-event mixing; ``cache`` holds the attention keys and values of
+        earlier rows (see ``MaskedMultiHeadAttention``)."""
+        h = self.attn(self.ln1(h), mask, cache) + h
         return self.mlp(self.ln2(h)) + h
 
-    def read_memory(self, h_bar: Tensor, memory: EventMemory, layer_index: int) -> Tensor:
-        """Fold stored-event states into each position of ``h_bar``.
+    def read_memory(self, h_bar: Tensor, memory: EventMemory, layer_index: int,
+                    start: int = 0) -> Tensor:
+        """Fold stored-event states into each row of ``h_bar``, the rows at
+        positions ``start``, ``start + 1``, ...
 
         Per position: hard-select among the stored events' rows using the
         current state as reference, fuse the survivors, then mix readout
@@ -94,7 +98,7 @@ class DecoderLayer:
         s = h_bar.shape[0]
         mixed = []
         for p in range(s):
-            past = Tensor(memory.rows_at(layer_index, p))
+            past = Tensor(memory.rows_at(layer_index, start + p))
             ref = Tensor(h_bar.values[p])
             z = select_and_fuse(past, ref, self.mem_attn)
             pair = T.concat([T.take_rows(h_bar, [p]), T.reshape(z, (1, self.d))], axis=0)
@@ -128,17 +132,35 @@ class CaptionDecoder:
         self.layers = [DecoderLayer(rng, d, n_heads, ff_mult) for _ in range(n_layers)]
         self.head = Linear(rng, d, vocab_size)
 
-    def build_input(self, video_rows: Tensor, token_ids) -> Tensor:
+    def build_input(self, video_rows: Tensor, token_ids, start: int = 0) -> Tensor:
+        """Input rows for ``video_rows`` then ``token_ids``, from position ``start``."""
         token_ids = np.asarray(token_ids, dtype=np.intp)
         n_video = video_rows.shape[0]
-        s = n_video + token_ids.size
+        s = start + n_video + token_ids.size
         if s > self.max_pos:
             raise ValidationError(f"sequence of {s} rows exceeds max positions {self.max_pos}")
         text_rows = self.text_mlp(self.word_embed(token_ids))
         h = T.concat([video_rows, text_rows], axis=0)
         types = self.type_embed([0] * n_video + [1] * token_ids.size)
-        positions = self.pos_embed(np.arange(s))
+        positions = self.pos_embed(np.arange(start, s))
         return h + types + positions
+
+    def run_layers(self, h: Tensor, mask, memory: EventMemory, caches=None,
+                   start: int = 0):
+        """Input rows (positions ``start`` on) through every layer; returns
+        the top rows and each layer's pre-readout states ``h_bar``.
+
+        ``caches``, one dict per layer, lets the rows attend to rows passed
+        in earlier calls (see ``MaskedMultiHeadAttention``).
+        """
+        if memory.n_layers != self.n_layers:
+            raise ShapeError(f"memory has {memory.n_layers} layers, decoder has {self.n_layers}")
+        snapshots = []
+        for i, layer in enumerate(self.layers):
+            h_bar = layer.inner(h, mask, None if caches is None else caches[i])
+            snapshots.append(h_bar)
+            h = h_bar if len(memory) == 0 else layer.read_memory(h_bar, memory, i, start)
+        return h, snapshots
 
     def forward_event(self, video_rows: Tensor, token_ids, memory: EventMemory,
                       update_memory: bool = True):
@@ -148,17 +170,10 @@ class CaptionDecoder:
         scores the token after input i. When ``update_memory`` is set the
         per-layer states are committed to ``memory`` for later events.
         """
-        if memory.n_layers != self.n_layers:
-            raise ShapeError(f"memory has {memory.n_layers} layers, decoder has {self.n_layers}")
         n_video = video_rows.shape[0]
         n_text = len(token_ids)
-        mask = causal_join_mask(n_video, n_text)
-        h = self.build_input(video_rows, token_ids)
-        snapshots = []
-        for i, layer in enumerate(self.layers):
-            h_bar = layer.inner(h, mask)
-            snapshots.append(h_bar)
-            h = h_bar if len(memory) == 0 else layer.read_memory(h_bar, memory, i)
+        h, snapshots = self.run_layers(self.build_input(video_rows, token_ids),
+                                       causal_join_mask(n_video, n_text), memory)
         logits = self.head(T.take_rows(h, np.arange(n_video, n_video + n_text)))
         f_event = T.tmean(T.take_rows(h, np.arange(n_video)), axis=0)
         if update_memory:
@@ -178,19 +193,36 @@ def greedy_decode(decoder: CaptionDecoder, video_rows: Tensor, memory: EventMemo
 
     Returns generated token ids without BOS or the trailing EOS. Ties pick
     the lowest id, so decoding is deterministic.
+
+    The video rows and BOS run once; then each generated token runs as one
+    new row that attends to the keys and values every layer cached for the
+    rows before it. A row's states never change once it exists (video rows
+    see only video, text row j only rows up to j, and the memory readout,
+    layer norm and MLP act per row), so this gives the logits of a full
+    teacher-forced pass over the prefix. The cached ``h_bar`` rows of
+    [BOS, tokens, EOS], or [BOS, tokens] at the cap, are what
+    ``forward_event`` would commit for that input, and are committed.
     """
     if max_len < 1:
         raise ValidationError(f"max_len must be >= 1, got {max_len}")
-    ids = [bos_id]
+    n_video = video_rows.shape[0]
+    no_rows = Tensor(np.zeros((0, decoder.d)))
+    caches = [{} for _ in decoder.layers]
+    states = [[] for _ in decoder.layers]   # per layer, the h_bar rows so far
+
+    def feed(rows, token, mask, start):
+        h, snapshots = decoder.run_layers(decoder.build_input(rows, [token], start),
+                                          mask, memory, caches, start)
+        for kept, h_bar in zip(states, snapshots):
+            kept.append(h_bar)
+        return h
+
+    ids = []
     with T.no_grad():
-        for _ in range(max_len):
-            logits, _ = decoder.forward_event(video_rows, ids, memory, update_memory=False)
-            nxt = int(np.argmax(logits.values[-1]))
-            ids.append(nxt)
-            if nxt == eos_id:
-                break
-        decoder.forward_event(video_rows, ids, memory, update_memory=True)
-    out = ids[1:]
-    if out and out[-1] == eos_id:
-        out = out[:-1]
-    return out
+        h = feed(video_rows, bos_id, causal_join_mask(n_video, 1), 0)
+        while not ids or (ids[-1] != eos_id and len(ids) < max_len):
+            logits = decoder.head(T.take_rows(h, [h.shape[0] - 1]))
+            ids.append(int(np.argmax(logits.values[0])))
+            h = feed(no_rows, ids[-1], None, n_video + len(ids))
+        memory.append([T.concat(kept, axis=0) for kept in states])
+    return ids[:-1] if ids[-1] == eos_id else ids

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError, ValidationError, read_json_object
+from .errors import ShapeError, ValidationError, read_json_object, atomic_write
 from .nn import MLP, SelfAttention, collect_params
 from .tensor import Tensor
 
@@ -100,7 +100,7 @@ class VocabEmbeddingTable:
             "W_t": self.w_text.tolist(),
             "W_i": self.w_image.tolist(),
         }
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write(json.dumps(payload))
 
     @classmethod

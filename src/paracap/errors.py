@@ -1,8 +1,10 @@
-"""Shared exception types, which the CLI maps onto exit codes, and the readers
-that turn JSON files into checked objects."""
+"""Shared exception types, which the CLI maps onto exit codes, the readers
+that turn JSON files into checked objects, and the one way files are written."""
 
+import contextlib
 import json
 import math
+import os
 import typing
 
 
@@ -16,6 +18,27 @@ class ValidationError(ValueError):
 
 class NumericalError(RuntimeError):
     """NaN input, training divergence, or a failed gradient check."""
+
+
+@contextlib.contextmanager
+def atomic_write(path: str):
+    """Text file handle whose contents replace ``path`` only once the block ends
+    without an exception.
+
+    The text goes to a temporary file beside ``path``, which ``os.replace``
+    then moves over it in one step, so a failed or interrupted write leaves
+    the earlier file as it was. There is no fsync: this guards against a
+    partial write, not against power loss.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_json_object(path: str, what: str, required=()) -> dict:

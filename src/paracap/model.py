@@ -17,8 +17,8 @@ from . import tensor as T
 from .data import BOS_ID, EOS_ID, RESERVED, Vocabulary, tokenize
 from .decoder import CaptionDecoder, EventMemory, greedy_decode
 from .encoder import MODALITIES, SnippetEncoder, VocabEmbeddingTable
-from .errors import (ShapeError, ValidationError, build_dataclass, read_json_object,
-                     require_at_least)
+from .errors import (ShapeError, ValidationError, atomic_write, build_dataclass,
+                     read_json_object, require_at_least)
 from .losses import RHO_INIT
 from .nn import MLP, Embedding, collect_params
 from .tensor import Tensor
@@ -182,7 +182,7 @@ class CaptionModel:
                 for name, p in self.named_params().items()
             },
         }
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write(json.dumps(payload))
 
     @classmethod
@@ -210,9 +210,16 @@ class CaptionModel:
             if not isinstance(entry, dict) or not {"shape", "values"} <= entry.keys():
                 raise ValidationError(f"{path}: {name} must be an object with "
                                       "shape and values")
+            shape, values = entry["shape"], entry["values"]
+            if type(shape) is not list or not all(type(n) is int and n >= 0 for n in shape):
+                raise ValidationError(f"{path}: {name}: shape must be a list of "
+                                      f"non-negative integers, got {shape!r}")
+            # bools and numeric strings would convert to floats without a word
+            if type(values) is not list or not set(map(type, values)) <= {int, float}:
+                raise ValidationError(f"{path}: {name}: values must be a list of numbers")
             try:   # a value count that does not fit the shape fails the reshape
-                values = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-            except (TypeError, ValueError) as exc:
+                values = np.array(values, dtype=np.float64).reshape(shape)
+            except (OverflowError, ValueError) as exc:   # OverflowError: an int past 1e308
                 raise ValidationError(f"{path}: {name}: {exc}") from None
             if values.shape != target.values.shape:
                 raise ShapeError(f"{path}: {name} has shape {values.shape}, "

@@ -103,11 +103,25 @@ class MaskedMultiHeadAttention:
         self.wv = [Linear(rng, d, self.d_head) for _ in range(n_heads)]
         self.wo = Linear(rng, d, d)
 
-    def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
+    def __call__(self, x: Tensor, mask, cache: dict = None) -> Tensor:
+        """Attend from the rows of ``x`` to the rows of ``x`` under ``mask``.
+
+        ``cache`` (a dict, empty before the first call) holds each head's
+        keys and values of the rows passed in earlier calls: the rows of
+        ``x`` attend to those rows too, ``mask`` covering all of them
+        (None: every row is visible), and their own keys and values join
+        the cache.
+        """
         if x.ndim != 2 or x.shape[1] != self.d:
             raise ShapeError(f"attention expects (*, {self.d}), got {x.shape}")
-        heads = [T.attention(self.wq[h](x), self.wk[h](x), self.wv[h](x), mask)
-                 for h in range(self.n_heads)]
+        heads = []
+        for h in range(self.n_heads):
+            k, v = self.wk[h](x), self.wv[h](x)
+            if cache is not None:
+                if h in cache:
+                    k, v = T.concat([cache[h][0], k]), T.concat([cache[h][1], v])
+                cache[h] = (k, v)
+            heads.append(T.attention(self.wq[h](x), k, v, mask))
         return self.wo(T.concat(heads, axis=1))
 
     def params(self) -> dict:

@@ -1,17 +1,20 @@
 """Command-line pipeline, exercised in process through ``main(argv)``."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
 import re
+import shutil
 from typing import get_type_hints
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paracap.cli import main
+from paracap import gradcheck
+from paracap.cli import build_parser, main
 from paracap.data import SyntheticWorldSpec, load_manifest, tokenize
 from paracap.losses import LossConfig
 from paracap.model import ModelConfig
@@ -69,6 +72,19 @@ WRONG = {
                        st.none()),
     "str": st.one_of(st.booleans(), st.integers(), st.floats(), _list,
                      st.none()),
+}
+
+
+# checkpoint parameter entries: a shape must be a list of sizes and the
+# values a flat list of finite numbers
+_scalar = st.one_of(_text, st.booleans(), st.integers(), st.floats(), st.none())
+WRONG_ENTRY = {
+    "shape": st.one_of(_text, st.booleans(), st.floats(), st.none(),
+                       st.lists(st.one_of(_text, st.booleans(), st.floats(),
+                                          st.integers(max_value=-1), st.none()),
+                                min_size=1, max_size=3)),
+    "values": st.one_of(_scalar, st.dictionaries(_text, st.integers(), max_size=1),
+                        st.tuples(st.one_of(_text, st.booleans(), st.none(), _list))),
 }
 
 
@@ -587,6 +603,11 @@ class TestGradcheckCommand:
         assert "end-to-end ok" in out
         assert calls == {"primitives": True, "seed": 7}
 
+    def test_seed_default_is_the_module_constant(self):
+        assert build_parser().parse_args(["gradcheck"]).seed == gradcheck.SEED
+        signature = inspect.signature(gradcheck.run_end_to_end_check)
+        assert signature.parameters["seed"].default == gradcheck.SEED
+
     def test_config_and_seed_flag_are_forwarded(self, monkeypatch, capsys,
                                                 tmp_path):
         # gradcheck reads no config file: --config is refused before any
@@ -683,3 +704,68 @@ class TestConfigBoundary:
         assert code == 2, err
         assert re.search(rf"events\.jsonl:2 event 0: .*\b{key}\b", err), err
         assert not out.exists()
+
+    def run_decode(self, run_dir, data_dir, scratch, edit):
+        """Exit code and stderr of ``decode`` with a checkpoint changed by ``edit``."""
+        ckpt = json.loads((run_dir / "checkpoint.json").read_text())
+        edit(ckpt["params"])
+        path = write_json(scratch / "ckpt.json", ckpt)
+        out = scratch / "decoded"
+        shutil.rmtree(out, ignore_errors=True)   # left by an earlier failing example
+        code, err = run_main(["decode", "--checkpoint", path,
+                              "--manifest", str(data_dir / "held_out.jsonl"),
+                              "--table", str(data_dir / "table.json"), "--out", str(out)])
+        assert not out.exists()
+        return code, err
+
+    @staticmethod
+    def names_the_parameter(name, err):
+        return re.search(rf"ckpt\.json: {re.escape(name)}\b", err)
+
+    @settings(deadline=None)
+    @given(data=st.data(), key=st.sampled_from(["shape", "values"]))
+    def test_checkpoint_entry_of_the_wrong_type(self, run_dir, data_dir, scratch, data, key):
+        names = sorted(json.loads((run_dir / "checkpoint.json").read_text())["params"])
+        name = data.draw(st.sampled_from(names), label="parameter")
+        value = data.draw(WRONG_ENTRY[key], label=key)
+        if key == "values" and isinstance(value, tuple):   # one bad element in the list
+            def edit(params):
+                values = params[name]["values"]
+                values[data.draw(st.integers(0, len(values) - 1))] = value[0]
+        else:
+            def edit(params):
+                params[name][key] = value
+        code, err = self.run_decode(run_dir, data_dir, scratch, edit)
+        assert code == 2, err
+        assert self.names_the_parameter(name, err), err
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_checkpoint_value_count_that_does_not_fit_the_shape(self, run_dir, data_dir,
+                                                               scratch, data):
+        names = sorted(json.loads((run_dir / "checkpoint.json").read_text())["params"])
+        name = data.draw(st.sampled_from(names), label="parameter")
+
+        def edit(params):
+            values = params[name]["values"]
+            count = data.draw(st.integers(0, 2 * len(values) + 1).filter(
+                lambda n: n != len(values)), label="count")
+            params[name]["values"] = (values * 3)[:count]
+
+        code, err = self.run_decode(run_dir, data_dir, scratch, edit)
+        assert code == 2, err
+        assert self.names_the_parameter(name, err), err
+
+    @settings(deadline=None)
+    @given(data=st.data(), bad=_non_finite)
+    def test_checkpoint_non_finite_value(self, run_dir, data_dir, scratch, data, bad):
+        names = sorted(json.loads((run_dir / "checkpoint.json").read_text())["params"])
+        name = data.draw(st.sampled_from(names), label="parameter")
+
+        def edit(params):
+            values = params[name]["values"]
+            values[data.draw(st.integers(0, len(values) - 1), label="index")] = bad
+
+        code, err = self.run_decode(run_dir, data_dir, scratch, edit)
+        assert code == 2, err
+        assert self.names_the_parameter(name, err), err

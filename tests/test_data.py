@@ -1,6 +1,7 @@
 """Tokenization, vocabulary, the synthetic world, and manifest files."""
 
 import json
+import os
 import string
 
 import numpy as np
@@ -12,7 +13,7 @@ from paracap.data import (AGENT_WORDS, BOS, EOS, PAD, PAD_ID, UNK, UNK_ID,
                           generate_synthetic, load_manifest, save_manifest,
                           tokenize)
 from paracap.encoder import SnippetInput
-from paracap.errors import ValidationError
+from paracap.errors import ValidationError, atomic_write
 
 
 def tokenize_walk(text):
@@ -285,6 +286,25 @@ class TestManifest:
         save_manifest(load_manifest(p1), p2)
         with open(p1, "rb") as fa, open(p2, "rb") as fb:
             assert fa.read() == fb.read()
+
+    def test_failed_save_leaves_the_earlier_file(self, tmp_path):
+        corpus = generate_synthetic(SyntheticWorldSpec(**SMALL))
+        path = str(tmp_path / "train.jsonl")
+        save_manifest(corpus.train, path)
+        before = (tmp_path / "train.jsonl").read_bytes()
+        # the first video's line is written before the second one fails
+        with pytest.raises(AttributeError):
+            save_manifest(corpus.train[:1] + [None], path)
+        assert (tmp_path / "train.jsonl").read_bytes() == before
+        assert os.listdir(tmp_path) == ["train.jsonl"]
+
+    def test_failed_first_write_leaves_no_file(self, tmp_path):
+        path = str(tmp_path / "report.json")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write("{")
+                raise RuntimeError("interrupted")
+        assert os.listdir(tmp_path) == []
 
     def test_empty_file_loads_as_no_records(self, tmp_path):
         path = tmp_path / "empty.jsonl"

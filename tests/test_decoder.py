@@ -6,11 +6,13 @@ weight after the softmax — so "cannot see" means bitwise invariance, not
 just approximate invariance.
 """
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import build_setup
 from paracap import tensor as T
 from paracap.data import BOS_ID, EOS_ID, Vocabulary
@@ -262,6 +264,103 @@ class TestGreedyDecode:
         with pytest.raises(ValidationError):
             greedy_decode(dec, video_block(16, 2), EventMemory(2), 0,
                           BOS_ID, EOS_ID)
+
+
+def eos_at(seed, n_video, n_tokens, max_pos=16):
+    """Decoder whose head emits EOS after ``n_tokens`` tokens and never
+    elsewhere (``None``: never at all).
+
+    The EOS logit reads the first coordinate of a row's state, less 2.5.
+    Every row keeps that coordinate near zero except the row at input
+    position ``n_video + n_tokens``, whose position embedding adds 5 to it.
+    """
+    dec = make_decoder(seed, max_pos=max_pos)
+    dec.head.w.values[:, EOS_ID] = 0.0
+    dec.head.w.values[0, EOS_ID] = 1.0
+    dec.head.b.values[EOS_ID] = -2.5
+    if n_tokens is not None:
+        dec.pos_embed.table.values[n_video + n_tokens, 0] = 5.0
+    return dec
+
+
+def committed(memory, n_rows):
+    """Each layer's rows of the last event stored in ``memory``."""
+    return [np.stack([memory.rows_at(layer, p)[-1] for p in range(n_rows)])
+            for layer in range(memory.n_layers)]
+
+
+def assert_close(got, want, tol=1e-12):
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+class TestIncrementalDecode:
+    """The cached decoder against the full-recompute oracle, over videos of
+    three events that end with EOS, at the cap, and at once."""
+
+    MAX_LEN = 5
+    ENDINGS = (2, None, 0)   # tokens before EOS; None: the cap ends the caption
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("video_seed", [20, 21])
+    def test_matches_the_full_recompute_oracle(self, seed, video_seed):
+        memory = EventMemory(2)
+        for i, ending in enumerate(self.ENDINGS):
+            n_video = 2 + i % 2
+            vid = video_block(10 * video_seed + i, n_video)
+            dec = eos_at(seed, n_video, ending)
+            before = copy.deepcopy(memory)
+
+            head, rows = dec.head, []
+
+            def recording_head(x):
+                out = head(x)
+                rows.append(out.values[-1])
+                return out
+
+            dec.head = recording_head
+            ids = greedy_decode(dec, vid, memory, self.MAX_LEN, BOS_ID, EOS_ID)
+            dec.head = head
+            # the oracle commits forward_event(..., update_memory=True) on
+            # [BOS] + ids (+ EOS) to its copy of the memory
+            replay = copy.deepcopy(before)
+            want, want_rows = oracles.greedy_decode_full(dec, vid, replay, self.MAX_LEN,
+                                                         BOS_ID, EOS_ID)
+
+            assert ids == want
+            assert len(ids) == (self.MAX_LEN if ending is None else ending)
+            assert EOS_ID not in ids
+            assert len(rows) == len(want_rows)
+            for got_row, want_row in zip(rows, want_rows):
+                assert_close(got_row, want_row)
+            assert len(memory) == len(replay) == i + 1
+            n_rows = n_video + 1 + len(ids) + (ending is not None)
+            for got, want_layer in zip(committed(memory, n_rows), committed(replay, n_rows)):
+                assert_close(got, want_layer)
+            # and no row past them: rows_at repeats an event's last row
+            np.testing.assert_array_equal(memory.rows_at(0, n_rows)[-1],
+                                          memory.rows_at(0, n_rows - 1)[-1])
+
+    def test_row_count_bound_is_the_one_check_inputs_uses(self):
+        # with no EOS an event takes a row per snippet, BOS and max_len tokens
+        corpus, vocab, _ = build_setup(seed=2)
+        n_snippets = len(corpus.held_out[0].events[0].snippets)
+        max_len = 6
+        bound = n_snippets + 1 + max_len
+        for max_pos in (bound - 1, bound):
+            _, _, model = build_setup(seed=2, model_overrides={"max_pos": max_pos,
+                                                               "max_len": max_len})
+            model.decoder.head.b.values[EOS_ID] = -1e3
+            if max_pos < bound:
+                with pytest.raises(ValidationError, match=f"needs {bound} rows, more "
+                                                          f"than max_pos {max_pos}"):
+                    model.check_inputs(corpus.held_out, corpus.table, vocab)
+                with pytest.raises(ValidationError, match=f"^sequence of {bound} rows "
+                                                          f"exceeds max positions {max_pos}$"):
+                    model.decode_video(corpus.held_out[0], corpus.table)
+            else:
+                model.check_inputs(corpus.held_out, corpus.table, vocab)
+                captions = model.decode_video(corpus.held_out[0], corpus.table)
+                assert [len(c) for c in captions] == [max_len] * len(captions)
 
 
 class TestCheckpoint:
