@@ -17,12 +17,12 @@ Run: python3 demos/04_event_memory.py
 import numpy as np
 
 from paracap import tensor as T
+from paracap.data import BOS_ID
 from paracap.decoder import CaptionDecoder, EventMemory, greedy_decode
 from paracap.nn import Embedding
 from paracap.tensor import Tensor
 
 D, VOCAB, LAYERS = 8, 9, 2
-BOS, EOS = 1, 2
 
 
 def banner(text):
@@ -46,8 +46,7 @@ def main():
     banner("memory grows by one entry per finished event")
     memory = EventMemory(LAYERS)
     for i, rows in enumerate(events):
-        said = greedy_decode(dec, rows, memory, max_len=5, bos_id=BOS,
-                             eos_id=EOS)
+        said = greedy_decode(dec, rows, memory, max_len=5)
         print(f"  event {i}: said tokens {said};  memory now holds "
               f"{len(memory)} event(s) x {LAYERS} layers")
 
@@ -58,14 +57,14 @@ def main():
         memory = EventMemory(LAYERS)
         dec.forward_event(events[0], first_tokens, memory,
                           update_memory=True)
-        dec.forward_event(events[1], [BOS, 5, 6], memory,
+        dec.forward_event(events[1], [BOS_ID, 5, 6], memory,
                           update_memory=True)
-        logits, _ = dec.forward_event(rows2, [BOS, 4], memory,
+        logits, _ = dec.forward_event(rows2, [BOS_ID, 4], memory,
                                       update_memory=False)
         return logits.values
 
-    delta = np.abs(tell_third_event([BOS, 7, 8])
-                   - tell_third_event([BOS, 3, 3])).max()
+    delta = np.abs(tell_third_event([BOS_ID, 7, 8])
+                   - tell_third_event([BOS_ID, 3, 3])).max()
     print(f"  changing event 0's tokens moves event 2's logits by "
           f"{delta:.3f} (memory carries context forward)")
 
@@ -73,11 +72,11 @@ def main():
 
     def first_event_logits(third_rows):
         memory = EventMemory(LAYERS)
-        logits, _ = dec.forward_event(events[0], [BOS, 7, 8], memory,
+        logits, _ = dec.forward_event(events[0], [BOS_ID, 7, 8], memory,
                                       update_memory=True)
-        dec.forward_event(events[1], [BOS, 5, 6], memory,
+        dec.forward_event(events[1], [BOS_ID, 5, 6], memory,
                           update_memory=True)
-        dec.forward_event(third_rows, [BOS, 4], memory,
+        dec.forward_event(third_rows, [BOS_ID, 4], memory,
                           update_memory=False)
         return logits.values
 
@@ -89,8 +88,8 @@ def main():
     banner("gradients stop at the frozen copies")
     rows0 = Tensor(rng.normal(size=(2, D)), requires_grad=True)
     memory = EventMemory(LAYERS)
-    dec.forward_event(rows0, [BOS, 7, 8], memory, update_memory=True)
-    logits, _ = dec.forward_event(events[1], [BOS, 5], memory,
+    dec.forward_event(rows0, [BOS_ID, 7, 8], memory, update_memory=True)
+    logits, _ = dec.forward_event(events[1], [BOS_ID, 5], memory,
                                   update_memory=False)
     T.backward(T.tsum(logits * logits))
     leak = "none" if rows0.grad is None else f"{np.abs(rows0.grad).max():.1f}"

@@ -19,12 +19,12 @@ from dataclasses import asdict, replace
 
 from . import gradcheck
 from .data import (RESERVED, SyntheticWorldSpec, Vocabulary, build_vocab, detokenize,
-                   generate_synthetic, load_manifest, save_manifest, tokenize)
+                   generate_synthetic, load_manifest, save_manifest)
 from .encoder import VocabEmbeddingTable
 from .errors import (NumericalError, ShapeError, ValidationError, atomic_write,
                      build_dataclass, read_json_object, require_at_least)
 from .losses import LossConfig
-from .model import CaptionModel, ModelConfig
+from .model import CaptionModel, ModelConfig, event_rows
 from .training import TrainConfig, decode_pairs, evaluate, train
 
 SCHEMA_VERSION = 1
@@ -58,16 +58,6 @@ def _infer_dims(records) -> dict:
     d_agent = next((sn.agents.shape[1] for sn in snippets if sn.agents.shape[0] > 0), 1)
     return {"d_env": snippets[0].env.shape[0], "d_agent": d_agent,
             "d_frame": snippets[0].frame.shape[0]}
-
-
-def _max_rows_needed(records, max_len: int) -> int:
-    # 1-2 rows over the exact need; pos_embed's size fixes later init draws
-    need = 0
-    for rec in records:
-        for ev in rec.events:
-            n_text = len(tokenize(ev.caption)) + 2    # bos + tokens + eos
-            need = max(need, len(ev.snippets) + max(n_text, max_len + 1))
-    return need + 1
 
 
 def _check_inputs(model, records, table, vocab, args, model_src, teacher_forced=False):
@@ -115,7 +105,9 @@ def cmd_train(args) -> int:
         if key in derived:
             raise ValidationError(f"{src}: model: {key} is read from the data, not the config")
     if "max_pos" not in model_section:
-        model_cfg = replace(model_cfg, max_pos=_max_rows_needed(records, model_cfg.max_len))
+        model_cfg = replace(model_cfg, max_pos=max(
+            event_rows(ev, model_cfg.max_len, teacher_forced=True)
+            for rec in records for ev in rec.events))
 
     train_cfg = build_dataclass(TrainConfig, cfg.get("train", {}), f"{src}: train",
                                 seed=args.seed)

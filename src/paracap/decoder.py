@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .data import BOS_ID, EOS_ID
 from .encoder import select_and_fuse
 from .errors import ShapeError, ValidationError
 from .nn import MLP, Embedding, Linear, LayerNorm, MaskedMultiHeadAttention, SelfAttention, collect_params
@@ -188,7 +189,7 @@ class CaptionDecoder:
 
 
 def greedy_decode(decoder: CaptionDecoder, video_rows: Tensor, memory: EventMemory,
-                  max_len: int, bos_id: int, eos_id: int) -> list:
+                  max_len: int) -> list:
     """Argmax decoding for one event; commits the finished event to memory.
 
     Returns generated token ids without BOS or the trailing EOS. Ties pick
@@ -219,10 +220,10 @@ def greedy_decode(decoder: CaptionDecoder, video_rows: Tensor, memory: EventMemo
 
     ids = []
     with T.no_grad():
-        h = feed(video_rows, bos_id, causal_join_mask(n_video, 1), 0)
-        while not ids or (ids[-1] != eos_id and len(ids) < max_len):
+        h = feed(video_rows, BOS_ID, causal_join_mask(n_video, 1), 0)
+        while not ids or (ids[-1] != EOS_ID and len(ids) < max_len):
             logits = decoder.head(T.take_rows(h, [h.shape[0] - 1]))
             ids.append(int(np.argmax(logits.values[0])))
             h = feed(no_rows, ids[-1], None, n_video + len(ids))
         memory.append([T.concat(kept, axis=0) for kept in states])
-    return ids[:-1] if ids[-1] == eos_id else ids
+    return ids[:-1] if ids[-1] == EOS_ID else ids

@@ -13,10 +13,12 @@ import numpy as np
 from . import losses as L
 from . import tensor as T
 from .data import EventRecord, SnippetInput, VideoRecord, build_vocab
+from .decoder import EventMemory
 from .encoder import VocabEmbeddingTable
 from .errors import NumericalError
 from .model import CaptionModel, ModelConfig
 from .tensor import Tensor
+from .training import batch_loss
 
 PRIMITIVE_TOL = 1e-6
 END_TO_END_TOL = 1e-4
@@ -245,8 +247,23 @@ def _tiny_world(seed: int):
     return record, table, vocab, config
 
 
+class _FrozenMemory(EventMemory):
+    """An event memory that replays ``base``: each ``append`` reveals the
+    next event stored there and ignores the states passed in."""
+
+    def __init__(self, base: EventMemory):
+        super().__init__(base.n_layers)
+        self._stored = base._events
+
+    def append(self, layer_states):
+        n = len(self)
+        for layer, stored in zip(self._events, self._stored):
+            layer.append(stored[n])
+
+
 def run_end_to_end_check(seed: int = SEED) -> dict:
-    """Finite-difference check of the combined loss through the whole model.
+    """Finite-difference check of training's objective, ``batch_loss``,
+    through the whole model.
 
     Two events of three target tokens each, two snippets per event, width
     8, two layers, one head; the batch for the alignment term is the
@@ -266,54 +283,24 @@ def run_end_to_end_check(seed: int = SEED) -> dict:
       pass computes the partial derivative with the memory held fixed.
       Central differences on the full forward would instead see the true
       derivative, which includes the first event's influence on the
-      second through memory. The check therefore freezes the memory
-      contents at the evaluation point and differentiates the same
-      function the backward pass does; the deliberately truncated path is
-      covered by the causality tests, not this one.
+      second through memory. The check therefore runs ``forward_video``
+      into a ``_FrozenMemory``, which replays every event's states at the
+      evaluation point, and so differentiates the same function the
+      backward pass does; the deliberately truncated path is covered by
+      the causality tests, not this one.
     """
     record, table, vocab, config = _tiny_world(seed)
     model = CaptionModel(config)
     jitter = np.random.default_rng(seed + 1)
     for p in model.named_params().values():
         p.values = np.asarray(p.values + jitter.normal(0.0, 0.3, size=p.values.shape))
-    loss_cfg = L.LossConfig()
-
-    from .data import BOS_ID, EOS_ID
-    from .decoder import EventMemory
-
-    token_ids = [model.event_tokens(ev, vocab) for ev in record.events]
-
-    def run_events(memories):
-        logits_list, summaries = [], []
-        for event, tokens, memory in zip(record.events, token_ids, memories):
-            rows = model.encoder.encode_event(event.snippets, table, model.config.k)
-            logits, f_event = model.decoder.forward_event(
-                rows, [BOS_ID] + tokens, memory, update_memory=False)
-            logits_list.append(logits)
-            summaries.append(f_event)
-        return logits_list, summaries
-
-    # memory snapshot at the evaluation point: what event 2 actually reads
-    snap = EventMemory(config.n_layers)
+    base = EventMemory(config.n_layers)   # every event's states at the evaluation point
     with T.no_grad():
-        rows0 = model.encoder.encode_event(record.events[0].snippets, table,
-                                           model.config.k)
-        model.decoder.forward_event(rows0, [BOS_ID] + token_ids[0], snap,
-                                    update_memory=True)
-    memories = [EventMemory(config.n_layers), snap]
+        model.forward_video(record, table, vocab, base)
 
     def loss_fn():
-        logits_list, summaries = run_events(memories)
-        cap_terms = []
-        for logits, tokens in zip(logits_list, token_ids):
-            targets = np.array(tokens + [EOS_ID], dtype=np.intp)
-            total_ev, _, _ = L.captioning_loss(logits, targets, loss_cfg)
-            cap_terms.append(total_ev)
-        cap = T.tmean(T.stack(cap_terms))
-        con = L.contrastive_loss(T.stack(summaries, axis=0),
-                                 model.caption_embeddings(record, vocab),
-                                 model.rho)
-        return cap + con
+        fwd = model.forward_video(record, table, vocab, _FrozenMemory(base))
+        return batch_loss(model, [record], [fwd], vocab, L.LossConfig())[0]
 
     errors = {}
     for name, p in model.named_params().items():

@@ -55,6 +55,14 @@ class ModelConfig:
         require_at_least(self, len(RESERVED) + 1, "vocab_size")   # one id past the reserved
 
 
+def event_rows(event, max_len: int, teacher_forced: bool) -> int:
+    """Decoder rows one event takes: one per snippet, one for BOS and one per
+    text token. Decoding feeds up to ``max_len`` tokens; a ``teacher_forced``
+    pass feeds the caption's, if more."""
+    n_text = len(tokenize(event.caption)) if teacher_forced else 0
+    return len(event.snippets) + 1 + max(n_text, max_len)
+
+
 @dataclass
 class VideoForward:
     """Teacher-forced outputs for one video: per-event logits and targets,
@@ -107,10 +115,15 @@ class CaptionModel:
         row = T.tmean(rows, axis=0, keepdims=True)
         return T.reshape(self.caption_mlp(row), (self.config.d_emb,))
 
-    def forward_video(self, record, table: VocabEmbeddingTable,
-                      vocab: Vocabulary) -> VideoForward:
-        """Teacher-forced pass over a video's events, in timestamp order."""
-        memory = EventMemory(self.config.n_layers)
+    def forward_video(self, record, table: VocabEmbeddingTable, vocab: Vocabulary,
+                      memory: EventMemory = None) -> VideoForward:
+        """Teacher-forced pass over a video's events, in timestamp order.
+
+        Each event reads ``memory`` (a fresh one by default) and is then
+        appended to it.
+        """
+        if memory is None:
+            memory = EventMemory(self.config.n_layers)
         logits_list, targets_list, summaries = [], [], []
         for event in record.events:
             tokens = self.event_tokens(event, vocab)
@@ -141,17 +154,13 @@ class CaptionModel:
             for event in record.events:
                 video_rows = self.encoder.encode_event(event.snippets, table,
                                                        self.config.k)
-                out.append(greedy_decode(self.decoder, video_rows, memory,
-                                         max_len, BOS_ID, EOS_ID))
+                out.append(greedy_decode(self.decoder, video_rows, memory, max_len))
         return out
 
     def check_inputs(self, records, table: VocabEmbeddingTable, vocab: Vocabulary,
                      teacher_forced: bool = False):
-        """Reject a table, vocabulary or video this model cannot run.
-
-        An event takes a row per snippet, one for BOS and one per text token:
-        ``max_len`` decoded ones, or its caption's if more and ``teacher_forced``.
-        """
+        """Reject a table, vocabulary or video this model cannot run; every
+        event must fit ``max_pos`` (see ``event_rows``)."""
         cfg = self.config
         if table.d_feature != cfg.d_frame:
             raise ValidationError(f"embedding table width {table.d_feature} does not "
@@ -164,8 +173,7 @@ class CaptionModel:
                                   "tokens in the embedding table")
         for rec in records:
             for i, event in enumerate(rec.events):
-                n_text = len(tokenize(event.caption)) if teacher_forced else 0
-                rows = len(event.snippets) + 1 + max(n_text, cfg.max_len)
+                rows = event_rows(event, cfg.max_len, teacher_forced)
                 if rows > cfg.max_pos:
                     raise ValidationError(f"video {rec.video_id} event {i} needs {rows} "
                                           f"rows, more than max_pos {cfg.max_pos}")

@@ -25,13 +25,10 @@ class Linear:
     """Affine map y = x W + b over the rows of a matrix."""
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int):
-        self.d_in = d_in
         self.w = _init(rng, (d_in, d_out))
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.d_in:
-            raise ShapeError(f"linear expects (*, {self.d_in}), got {x.shape}")
         return T.matmul(x, self.w) + self.b
 
     def params(self) -> dict:
@@ -74,14 +71,11 @@ class SelfAttention:
     """
 
     def __init__(self, rng: np.random.Generator, d: int):
-        self.d = d
         self.wq = _init(rng, (d, d))
         self.wk = _init(rng, (d, d))
         self.wv = _init(rng, (d, d))
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.d:
-            raise ShapeError(f"self-attention expects (*, {self.d}), got {x.shape}")
         return T.attention(T.matmul(x, self.wq), T.matmul(x, self.wk),
                            T.matmul(x, self.wv))
 
@@ -95,7 +89,6 @@ class MaskedMultiHeadAttention:
     def __init__(self, rng: np.random.Generator, d: int, n_heads: int):
         if d % n_heads != 0:
             raise ShapeError(f"model width {d} not divisible by {n_heads} heads")
-        self.d = d
         self.n_heads = n_heads
         self.d_head = d // n_heads
         self.wq = [Linear(rng, d, self.d_head) for _ in range(n_heads)]
@@ -112,8 +105,6 @@ class MaskedMultiHeadAttention:
         (None: every row is visible), and their own keys and values join
         the cache.
         """
-        if x.ndim != 2 or x.shape[1] != self.d:
-            raise ShapeError(f"attention expects (*, {self.d}), got {x.shape}")
         heads = []
         for h in range(self.n_heads):
             k, v = self.wk[h](x), self.wv[h](x)

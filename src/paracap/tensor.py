@@ -296,10 +296,9 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat of an empty list")
     out = np.concatenate([t.values for t in tensors], axis=axis)
-    sizes = [t.values.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
-    def bw(g, tensors=tensors, splits=splits, axis=axis):
+    def bw(g, tensors=tensors, axis=axis):
+        splits = np.cumsum([t.values.shape[axis] for t in tensors])[:-1]
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             _accum(t, piece)
 

@@ -115,6 +115,31 @@ def _batches(n: int, size: int, order) -> list:
     return [order[i:i + size] for i in range(0, n, size)]
 
 
+def batch_loss(model, records, forwards, vocab, loss_cfg: L.LossConfig):
+    """The objective training minimizes over one batch of videos.
+
+    ``forwards`` holds each record's teacher-forced ``VideoForward``. The
+    loss is the mean captioning loss over every event in the batch, plus
+    the alignment loss over all of the batch's events when
+    ``loss_cfg.use_contrastive`` is set. Returns ``(loss, captioning mean,
+    alignment loss or None, each event's repetition penalty as a float)``.
+    """
+    cap_terms, taus = [], []
+    for fwd in forwards:
+        for logits, targets in zip(fwd.logits, fwd.targets):
+            total_ev, _, tau_ev = L.captioning_loss(logits, targets, loss_cfg)
+            cap_terms.append(total_ev)
+            taus.append(float(tau_ev.values))
+    cap = T.tmean(T.stack(cap_terms))
+    if not loss_cfg.use_contrastive:
+        return cap, cap, None, taus
+    con = L.contrastive_loss(T.concat([fwd.event_embeddings for fwd in forwards], axis=0),
+                             T.concat([model.caption_embeddings(rec, vocab)
+                                       for rec in records], axis=0),
+                             model.rho)
+    return cap + con, cap, con, taus
+
+
 def train(model, records, table, vocab, cfg: TrainConfig, loss_cfg: L.LossConfig,
           log_path: str = None, callback=None) -> list:
     """Optimize the model in place; returns per-epoch stats.
@@ -146,32 +171,19 @@ def train(model, records, table, vocab, cfg: TrainConfig, loss_cfg: L.LossConfig
             correct = total = 0
             for batch_ids in _batches(len(records), cfg.batch_size, order):
                 T.zero_grads(params.values())
-                cap_terms, tau_terms = [], []
-                event_vecs, caption_vecs = [], []
-                for vi in batch_ids:
-                    fwd = model.forward_video(records[vi], table, vocab)
+                batch = [records[vi] for vi in batch_ids]
+                forwards = [model.forward_video(rec, table, vocab) for rec in batch]
+                for fwd in forwards:
                     for logits, targets in zip(fwd.logits, fwd.targets):
-                        total_ev, _, tau_ev = L.captioning_loss(
-                            logits, targets, loss_cfg)
-                        cap_terms.append(total_ev)
-                        tau_terms.append(float(tau_ev.values))
-                        pred = logits.values.argmax(axis=1)
-                        correct += int((pred == targets).sum())
+                        correct += int((logits.values.argmax(axis=1) == targets).sum())
                         total += targets.size
-                    event_vecs.append(fwd.event_embeddings)
-                    if loss_cfg.use_contrastive:
-                        caption_vecs.append(model.caption_embeddings(records[vi], vocab))
-                loss = T.tmean(T.stack(cap_terms))
-                cap_sum += float(loss.values) * len(cap_terms)
-                tau_sum += sum(tau_terms)
-                n_events += len(cap_terms)
-                if loss_cfg.use_contrastive:
-                    con = L.contrastive_loss(T.concat(event_vecs, axis=0),
-                                             T.concat(caption_vecs, axis=0),
-                                             model.rho)
+                loss, cap, con, taus = batch_loss(model, batch, forwards, vocab, loss_cfg)
+                cap_sum += float(cap.values) * len(taus)
+                tau_sum += sum(taus)
+                n_events += len(taus)
+                if con is not None:
                     con_sum += float(con.values)
                     n_con += 1
-                    loss = loss + con
                 if not np.isfinite(loss.values):
                     for k, p in params.items():
                         p.values = last_good[k].copy()

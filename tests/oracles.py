@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from paracap import tensor as T
+from paracap.data import BOS_ID, EOS_ID
 from paracap.tensor import Tensor
 
 
@@ -172,24 +173,24 @@ def adam_first_step(p0, grad, lr, beta1, beta2, weight_decay, warmup_scale=1.0,
 # decoding
 
 
-def greedy_decode_full(decoder, video_rows, memory, max_len, bos_id, eos_id):
+def greedy_decode_full(decoder, video_rows, memory, max_len):
     """Greedy decoding by full recompute: a teacher-forced pass over the
     whole prefix per token, then one more to commit the event to memory.
 
     Returns (token ids without BOS or the trailing EOS, the logits row
     each id was picked from).
     """
-    ids, rows = [bos_id], []
+    ids, rows = [BOS_ID], []
     with T.no_grad():
         for _ in range(max_len):
             logits, _ = decoder.forward_event(video_rows, ids, memory, update_memory=False)
             rows.append(logits.values[-1])
             ids.append(int(np.argmax(logits.values[-1])))
-            if ids[-1] == eos_id:
+            if ids[-1] == EOS_ID:
                 break
         decoder.forward_event(video_rows, ids, memory, update_memory=True)
     out = ids[1:]
-    if out and out[-1] == eos_id:
+    if out and out[-1] == EOS_ID:
         out = out[:-1]
     return out, rows
 

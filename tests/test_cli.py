@@ -356,6 +356,27 @@ class TestTrain:
         assert message in err and "t.json" in err
         assert not (tmp_path / "run").exists()
 
+    def test_derived_max_pos_is_the_largest_event_row_count(self, data_dir, tmp_path,
+                                                             capsys):
+        # without a max_pos key, train sizes pos_embed to the rows its
+        # longest event needs (see the test below), not a row more
+        records = load_manifest(str(data_dir / "train.jsonl"))
+        max_len = TRAIN_CONFIG["model"]["max_len"]
+        need = max(len(ev.snippets) + 1 + max(len(tokenize(ev.caption)), max_len)
+                   for rec in records for ev in rec.events)
+        cfg_obj = json.loads(json.dumps(TRAIN_CONFIG))
+        cfg_obj["train"].update(epochs=0, warmup_epochs=0)
+        assert "max_pos" not in cfg_obj["model"]
+        cfg = write_json(tmp_path / "t.json", cfg_obj)
+        assert main(["train", "--config", cfg,
+                     "--manifest", str(data_dir / "train.jsonl"),
+                     "--table", str(data_dir / "table.json"),
+                     "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        ckpt = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
+        assert ckpt["config"]["max_pos"] == need
+        assert ckpt["params"]["decoder.pos_embed.table"]["shape"][0] == need
+
     def test_max_pos_bound_is_the_exact_row_count(self, data_dir, tmp_path,
                                                   capsys):
         # training feeds BOS plus the caption, decoding BOS plus up to

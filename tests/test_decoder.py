@@ -239,7 +239,7 @@ class TestGreedyDecode:
         dec.head.b.values[:] = 0.0
         dec.head.b.values[EOS_ID] = 5.0
         memory = EventMemory(2)
-        out = greedy_decode(dec, video_block(13, 2), memory, 6, BOS_ID, EOS_ID)
+        out = greedy_decode(dec, video_block(13, 2), memory, 6)
         assert out == []
         assert len(memory) == 1
 
@@ -247,23 +247,21 @@ class TestGreedyDecode:
         dec = make_decoder()
         dec.head.w.values[:] = 0.0
         dec.head.b.values[:] = 0.0
-        out = greedy_decode(dec, video_block(14, 2), EventMemory(2), 3,
-                            BOS_ID, EOS_ID)
+        out = greedy_decode(dec, video_block(14, 2), EventMemory(2), 3)
         assert out == [0, 0, 0]
 
     def test_decoding_is_deterministic(self):
         dec = make_decoder(seed=3)
         vid = video_block(15, 2)
-        first = greedy_decode(dec, vid, EventMemory(2), 5, BOS_ID, EOS_ID)
-        second = greedy_decode(dec, vid, EventMemory(2), 5, BOS_ID, EOS_ID)
+        first = greedy_decode(dec, vid, EventMemory(2), 5)
+        second = greedy_decode(dec, vid, EventMemory(2), 5)
         assert first == second
         assert len(first) <= 5
 
     def test_rejects_nonpositive_max_len(self):
         dec = make_decoder()
         with pytest.raises(ValidationError):
-            greedy_decode(dec, video_block(16, 2), EventMemory(2), 0,
-                          BOS_ID, EOS_ID)
+            greedy_decode(dec, video_block(16, 2), EventMemory(2), 0)
 
 
 def eos_at(seed, n_video, n_tokens, max_pos=16):
@@ -318,13 +316,12 @@ class TestIncrementalDecode:
                 return out
 
             dec.head = recording_head
-            ids = greedy_decode(dec, vid, memory, self.MAX_LEN, BOS_ID, EOS_ID)
+            ids = greedy_decode(dec, vid, memory, self.MAX_LEN)
             dec.head = head
             # the oracle commits forward_event(..., update_memory=True) on
             # [BOS] + ids (+ EOS) to its copy of the memory
             replay = copy.deepcopy(before)
-            want, want_rows = oracles.greedy_decode_full(dec, vid, replay, self.MAX_LEN,
-                                                         BOS_ID, EOS_ID)
+            want, want_rows = oracles.greedy_decode_full(dec, vid, replay, self.MAX_LEN)
 
             assert ids == want
             assert len(ids) == (self.MAX_LEN if ending is None else ending)

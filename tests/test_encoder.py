@@ -10,7 +10,7 @@ from paracap.encoder import (MODALITIES, SnippetEncoder, SnippetInput,
                              select_and_fuse, select_scene_elements)
 from paracap.errors import ShapeError, ValidationError
 from paracap.model import ModelConfig
-from paracap.nn import SelfAttention
+from paracap.nn import Linear, MaskedMultiHeadAttention, SelfAttention
 from paracap.tensor import Tensor
 
 
@@ -69,6 +69,20 @@ class TestSelectAndFuse:
             select_and_fuse(Tensor(np.zeros((0, 4))), Tensor(np.zeros(4)), attn)
         with pytest.raises(ShapeError):
             select_and_fuse(Tensor(np.zeros((2, 4))), Tensor(np.zeros(3)), attn)
+
+
+class TestLayerShapes:
+    @pytest.mark.parametrize("make", [
+        lambda rng: Linear(rng, 4, 3),
+        lambda rng: SelfAttention(rng, 4),
+        lambda rng: (lambda x, a=MaskedMultiHeadAttention(rng, 4, 2): a(x, None)),
+    ], ids=["linear", "self-attention", "masked-attention"])
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 3), (4,), (1, 2, 4)])
+    def test_wrong_input_width_or_rank_raises(self, rng, make, shape):
+        layer = make(rng)
+        assert layer(Tensor(np.ones((2, 4)))).shape[0] == 2
+        with pytest.raises(ShapeError):
+            layer(Tensor(np.ones(shape)))
 
 
 class TestSceneElements:

@@ -8,12 +8,16 @@ import pytest
 
 import oracles
 from conftest import build_setup
+from paracap import gradcheck
+from paracap import tensor as T
 from paracap.data import Vocabulary, tokenize
+from paracap.decoder import EventMemory
 from paracap.errors import NumericalError, ValidationError
 from paracap.losses import LossConfig
+from paracap.model import CaptionModel
 from paracap.tensor import Tensor
 from paracap.training import (BETA1, BETA2, WEIGHT_DECAY, AdamState,
-                              TrainConfig, adam_step, clip_gradients,
+                              TrainConfig, adam_step, batch_loss, clip_gradients,
                               decode_pairs, evaluate, train)
 
 
@@ -222,6 +226,73 @@ class TestTrainLoop:
         history = train(model, corpus.train, corpus.table, vocab,
                         quick_cfg(), LossConfig(use_contrastive=False))
         assert history[0].l_con == 0.0
+
+
+class TestBatchLoss:
+    """The gradient check differentiates ``batch_loss`` with every event's
+    memory frozen at the evaluation point; training runs it on a live one."""
+
+    @pytest.fixture
+    def world(self):
+        record, table, vocab, config = gradcheck._tiny_world(gradcheck.SEED)
+        model = CaptionModel(config)
+        base = EventMemory(config.n_layers)
+        with T.no_grad():
+            model.forward_video(record, table, vocab, base)
+        return model, record, table, vocab, base
+
+    @staticmethod
+    def loss_and_grads(model, record, table, vocab, memory):
+        params = model.named_params()
+        T.zero_grads(params.values())
+        fwd = model.forward_video(record, table, vocab, memory)
+        loss = batch_loss(model, [record], [fwd], vocab, LossConfig())[0]
+        T.backward(loss)
+        return loss.values, {k: p.grad for k, p in params.items()}
+
+    @staticmethod
+    def stored(memory):
+        return memory._events   # per layer, each event's state rows
+
+    def test_frozen_memory_is_live_memory_at_the_evaluation_point(self, world):
+        model, record, table, vocab, base = world
+        frozen = self.loss_and_grads(model, record, table, vocab,
+                                     gradcheck._FrozenMemory(base))
+        live_memory = EventMemory(model.config.n_layers)
+        live = self.loss_and_grads(model, record, table, vocab, live_memory)
+        assert frozen[0] == live[0]
+        for name, grad in frozen[1].items():
+            assert (grad is None) == (live[1][name] is None), name
+            if grad is not None:
+                np.testing.assert_array_equal(grad, live[1][name], err_msg=name)
+        for got, want in zip(self.stored(live_memory), self.stored(base)):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_frozen_rows_ignore_a_moved_weight(self, world):
+        model, record, table, vocab, base = world
+        model.decoder.layers[0].attn.wo.w.values += 0.1
+        frozen = gradcheck._FrozenMemory(base)
+        live = EventMemory(model.config.n_layers)
+        with T.no_grad():
+            model.forward_video(record, table, vocab, frozen)
+            model.forward_video(record, table, vocab, live)
+        assert len(frozen) == len(live) == len(record.events)
+        for layers in zip(self.stored(frozen), self.stored(live), self.stored(base)):
+            for frozen_rows, live_rows, base_rows in zip(*layers):
+                np.testing.assert_array_equal(frozen_rows, base_rows)
+                assert not np.array_equal(live_rows, base_rows)
+
+    def test_without_alignment_the_loss_is_the_captioning_mean(self, tiny_setup):
+        corpus, vocab, model = tiny_setup
+        forwards = [model.forward_video(rec, corpus.table, vocab)
+                    for rec in corpus.train]
+        loss, cap, con, taus = batch_loss(model, corpus.train, forwards, vocab,
+                                          LossConfig(use_contrastive=False))
+        assert loss is cap and con is None
+        assert len(taus) == sum(len(rec.events) for rec in corpus.train)
+        with_con = batch_loss(model, corpus.train, forwards, vocab, LossConfig())
+        assert float(with_con[0].values) == float(cap.values) + float(with_con[2].values)
 
 
 class TestEvaluation:
