@@ -41,7 +41,7 @@ def main():
 
     def f(w):
         h = Tensor(inputs) @ w                # (2, 3)
-        p = T.softmax(h, axis=1)
+        p = T.softmax(h)
         return T.tsum(p * p)                  # scalar, curvature everywhere
 
     err = T.finite_diff_check(f, w)
@@ -54,7 +54,7 @@ def main():
 
     def g(q):
         h = T.layer_norm(q, gain, bias)
-        scores = T.softmax(h @ T.transpose(h), axis=1)
+        scores = T.softmax(h @ T.transpose(h))
         return T.tmean(scores @ h)
 
     err = T.finite_diff_check(g, q)

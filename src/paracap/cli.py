@@ -24,8 +24,9 @@ from .encoder import VocabEmbeddingTable
 from .errors import (NumericalError, ShapeError, ValidationError, atomic_write,
                      build_dataclass, read_json_object, require_at_least)
 from .losses import LossConfig
-from .model import CaptionModel, ModelConfig, event_rows
-from .training import TrainConfig, decode_pairs, evaluate, train
+from .metrics import report
+from .model import CaptionModel, ModelConfig, event_rows, input_widths
+from .training import TrainConfig, decode_pairs, train
 
 SCHEMA_VERSION = 1
 
@@ -51,13 +52,6 @@ def _write_run_config(out_dir: str, subcommand: str, seed, config: dict):
 def _ensure_out(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def _infer_dims(records) -> dict:
-    snippets = [sn for rec in records for ev in rec.events for sn in ev.snippets]
-    d_agent = next((sn.agents.shape[1] for sn in snippets if sn.agents.shape[0] > 0), 1)
-    return {"d_env": snippets[0].env.shape[0], "d_agent": d_agent,
-            "d_frame": snippets[0].frame.shape[0]}
 
 
 def _check_inputs(model, records, table, vocab, args, model_src, teacher_forced=False):
@@ -98,7 +92,7 @@ def cmd_train(args) -> int:
     vocab = build_vocab(ev.caption for rec in records for ev in rec.events)
 
     model_section = cfg.get("model", {})
-    derived = dict(_infer_dims(records), vocab_size=len(vocab))
+    derived = dict(input_widths(records), vocab_size=len(vocab))
     model_cfg = build_dataclass(ModelConfig, model_section, f"{src}: model", **derived,
                                 seed=args.seed)
     for key in model_section:
@@ -158,7 +152,7 @@ def _load_eval_inputs(args):
 
 def cmd_eval(args) -> int:
     model, vocab, records, table, out = _load_eval_inputs(args)
-    rep = evaluate(model, records, table, vocab)
+    rep = report(decode_pairs(model, records, table, vocab))
     with atomic_write(os.path.join(out, "report.json")) as fh:
         json.dump(rep, fh, indent=2)
     print(json.dumps(rep, indent=2))

@@ -294,6 +294,8 @@ def load_manifest(path: str) -> list:
                 if not isinstance(caption, str):
                     raise ValidationError(f"{ewhere}: caption must be a string, "
                                           f"got {caption!r}")
+                if not tokenize(caption):
+                    raise ValidationError(f"{ewhere}: caption {caption!r} holds no tokens")
                 try:
                     events.append(EventRecord(caption=caption, snippets=snippets, **times))
                 except ValidationError as exc:

@@ -79,7 +79,7 @@ class DecoderLayer:
         self.mem_attn = SelfAttention(rng, d)
         self.mem_mlp = MLP(rng, d, ff_mult * d, d)
 
-    def inner(self, h: Tensor, mask, cache: dict = None) -> Tensor:
+    def inner(self, h: Tensor, mask, cache: dict) -> Tensor:
         """In-event mixing; ``cache`` holds the attention keys and values of
         earlier rows (see ``MaskedMultiHeadAttention``)."""
         h = self.attn(self.ln1(h), mask, cache) + h
@@ -146,8 +146,7 @@ class CaptionDecoder:
         positions = self.pos_embed(np.arange(start, s))
         return h + types + positions
 
-    def run_layers(self, h: Tensor, mask, memory: EventMemory, caches=None,
-                   start: int = 0):
+    def run_layers(self, h: Tensor, mask, memory: EventMemory, caches, start: int = 0):
         """Input rows (positions ``start`` on) through every layer; returns
         the top rows and each layer's pre-readout states ``h_bar``.
 
@@ -158,7 +157,7 @@ class CaptionDecoder:
             raise ShapeError(f"memory has {memory.n_layers} layers, decoder has {self.n_layers}")
         snapshots = []
         for i, layer in enumerate(self.layers):
-            h_bar = layer.inner(h, mask, None if caches is None else caches[i])
+            h_bar = layer.inner(h, mask, caches[i])
             snapshots.append(h_bar)
             h = h_bar if len(memory) == 0 else layer.read_memory(h_bar, memory, i, start)
         return h, snapshots
@@ -174,7 +173,8 @@ class CaptionDecoder:
         n_video = video_rows.shape[0]
         n_text = len(token_ids)
         h, snapshots = self.run_layers(self.build_input(video_rows, token_ids),
-                                       causal_join_mask(n_video, n_text), memory)
+                                       causal_join_mask(n_video, n_text), memory,
+                                       [{} for _ in self.layers])
         logits = self.head(T.take_rows(h, np.arange(n_video, n_video + n_text)))
         f_event = T.tmean(T.take_rows(h, np.arange(n_video)), axis=0)
         if update_memory:

@@ -52,18 +52,17 @@ def smoothed_cross_entropy(logits: Tensor, targets, smoothing: float) -> Tensor:
     q[valid] = smoothing / k
     q[valid, PAD_ID] = 0.0
     q[np.flatnonzero(valid), targets[valid]] += 1.0 - smoothing
-    lp = T.log_softmax(logits, axis=1)
+    lp = T.log_softmax(logits)
     return -T.tsum(Tensor(q) * lp) / float(n_valid)
 
 
-def repetition_penalty(probs: Tensor, targets, excludes=PENALTY_EXCLUDES,
-                       floor: float = PROB_FLOOR) -> Tensor:
+def repetition_penalty(probs: Tensor, targets) -> Tensor:
     """Penalty for re-predicting tokens the reference already used.
 
     At position i the candidate set is the distinct target tokens from
-    positions before i, minus ``excludes``; the penalty is the mean over
-    positions of the summed -log(1 - p) mass the model still places on
-    those candidates.
+    positions before i, minus ``PENALTY_EXCLUDES``; the penalty is the
+    mean over positions of the summed -log(1 - p) mass the model still
+    places on those candidates.
     """
     targets = np.asarray(targets, dtype=np.intp)
     if probs.ndim != 2 or targets.shape != (probs.shape[0],):
@@ -71,14 +70,13 @@ def repetition_penalty(probs: Tensor, targets, excludes=PENALTY_EXCLUDES,
     n, v = probs.shape
     mask = np.zeros((n, v))
     seen = set()
-    banned = set(excludes)
     for i in range(n):
         for c in seen:
             mask[i, c] = 1.0
         t = int(targets[i])
-        if t not in banned:
+        if t not in PENALTY_EXCLUDES:
             seen.add(t)
-    inv = T.clamp_min(1.0 - probs, floor)
+    inv = T.clamp_min(1.0 - probs, PROB_FLOOR)
     return -T.tsum(Tensor(mask) * T.tlog(inv)) / float(n)
 
 
@@ -88,7 +86,7 @@ def captioning_loss(logits: Tensor, targets, cfg: LossConfig):
     Returns ``(total, ce, tau)`` so training can log the parts separately.
     """
     ce = smoothed_cross_entropy(logits, targets, LABEL_SMOOTHING)
-    tau = repetition_penalty(T.softmax(logits, axis=1), targets)
+    tau = repetition_penalty(T.softmax(logits), targets)
     return ce + tau * cfg.lam, ce, tau
 
 

@@ -55,6 +55,32 @@ class ModelConfig:
         require_at_least(self, len(RESERVED) + 1, "vocab_size")   # one id past the reserved
 
 
+# each input width of ModelConfig: the snippet field that carries it and the
+# modality that reads that field (None: every model reads it)
+INPUT_FIELDS = {"d_env": ("env", None), "d_agent": ("agents", "agent"),
+                "d_frame": ("frame", "ling")}
+
+
+def snippet_widths(snippet) -> dict:
+    """The input widths one snippet carries, by config key; an agents
+    matrix with no rows carries none."""
+    widths = {key: getattr(snippet, field).shape[-1]
+              for key, (field, _) in INPUT_FIELDS.items()}
+    if snippet.agents.shape[0] == 0:
+        del widths["d_agent"]
+    return widths
+
+
+def input_widths(records) -> dict:
+    """The input widths of the records' first snippet; ``d_agent`` comes
+    from the first snippet with agents, 1 if none has any."""
+    widths = {"d_agent": 1}
+    for snippet in reversed([sn for rec in records for ev in rec.events
+                             for sn in ev.snippets]):   # the first snippet wins
+        widths.update(snippet_widths(snippet))
+    return widths
+
+
 def event_rows(event, max_len: int, teacher_forced: bool) -> int:
     """Decoder rows one event takes: one per snippet, one for BOS and one per
     text token. Decoding feeds up to ``max_len`` tokens; a ``teacher_forced``
@@ -160,8 +186,11 @@ class CaptionModel:
     def check_inputs(self, records, table: VocabEmbeddingTable, vocab: Vocabulary,
                      teacher_forced: bool = False):
         """Reject a table, vocabulary or video this model cannot run; every
-        event must fit ``max_pos`` (see ``event_rows``)."""
+        event must fit ``max_pos`` (see ``event_rows``), and every snippet
+        field the model reads must have the model's width."""
         cfg = self.config
+        read = [key for key, (_, mod) in INPUT_FIELDS.items()
+                if mod is None or mod in cfg.modalities]
         if table.d_feature != cfg.d_frame:
             raise ValidationError(f"embedding table width {table.d_feature} does not "
                                   f"match model d_frame {cfg.d_frame}")
@@ -177,6 +206,13 @@ class CaptionModel:
                 if rows > cfg.max_pos:
                     raise ValidationError(f"video {rec.video_id} event {i} needs {rows} "
                                           f"rows, more than max_pos {cfg.max_pos}")
+                for j, snippet in enumerate(event.snippets):
+                    for key, width in snippet_widths(snippet).items():
+                        if key in read and width != getattr(cfg, key):
+                            raise ValidationError(
+                                f"video {rec.video_id} event {i} snippet {j}: "
+                                f"{INPUT_FIELDS[key][0]} width {width} does not match "
+                                f"model {key} {getattr(cfg, key)}")
 
     # ------------------------------------------------------------------
     # persistence

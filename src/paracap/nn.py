@@ -96,22 +96,21 @@ class MaskedMultiHeadAttention:
         self.wv = [Linear(rng, d, self.d_head) for _ in range(n_heads)]
         self.wo = Linear(rng, d, d)
 
-    def __call__(self, x: Tensor, mask, cache: dict = None) -> Tensor:
-        """Attend from the rows of ``x`` to the rows of ``x`` under ``mask``.
+    def __call__(self, x: Tensor, mask, cache: dict) -> Tensor:
+        """Attend from the rows of ``x`` to the rows passed in earlier calls
+        with ``cache`` and to the rows of ``x``, under ``mask`` (None: every
+        row is visible).
 
         ``cache`` (a dict, empty before the first call) holds each head's
-        keys and values of the rows passed in earlier calls: the rows of
-        ``x`` attend to those rows too, ``mask`` covering all of them
-        (None: every row is visible), and their own keys and values join
-        the cache.
+        keys and values of those earlier rows; the keys and values of ``x``
+        join it.
         """
         heads = []
         for h in range(self.n_heads):
             k, v = self.wk[h](x), self.wv[h](x)
-            if cache is not None:
-                if h in cache:
-                    k, v = T.concat([cache[h][0], k]), T.concat([cache[h][1], v])
-                cache[h] = (k, v)
+            if h in cache:
+                k, v = T.concat([cache[h][0], k]), T.concat([cache[h][1], v])
+            cache[h] = (k, v)
             heads.append(T.attention(self.wq[h](x), k, v, mask))
         return self.wo(T.concat(heads, axis=1))
 

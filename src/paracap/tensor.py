@@ -13,14 +13,10 @@ verification (:func:`finite_diff_check`) meaningful down to ~1e-9.
 
 Forward and backward are bit-deterministic for a fixed graph: traversal
 order depends only on graph structure, and gradient accumulation happens
-in that fixed order. Graphs are not shared between model instances, so
-separate instances may run on separate threads; the grad-enable flag is
-thread-local.
+in that fixed order.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 from scipy.special import erf, expit
@@ -29,10 +25,12 @@ from .errors import NumericalError, ShapeError
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+LN_EPS = 1e-5     # layer_norm's variance floor
+FD_STEP = 1e-5    # finite_diff_check's central-difference step
 
 
-class _GradState(threading.local):
-    grad_enabled = True    # each thread starts with recording on
+class _GradState:
+    grad_enabled = True
 
 
 _state = _GradState()
@@ -354,9 +352,9 @@ def _spread(g, shape: tuple, axis) -> np.ndarray:
     return out
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a: Tensor, axis=None) -> Tensor:
     a = _wrap(a)
-    out = a.values.sum(axis=axis, keepdims=keepdims)
+    out = a.values.sum(axis=axis)
 
     def bw(g, a=a, axis=axis):
         _accum(a, _spread(g, a.values.shape, axis))
@@ -452,37 +450,39 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # softmax family and normalization
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
     a = _wrap(a)
     if np.isnan(a.values).any():
         raise NumericalError("softmax received NaN input")
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
+    shifted = a.values - a.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
-    def bw(g, a=a, out=out, axis=axis):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+    def bw(g, a=a, out=out):
+        inner = (g * out).sum(axis=-1, keepdims=True)
         _accum(a, out * (g - inner))
 
     return _make(out, "softmax", (a,), bw)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+def log_softmax(a: Tensor) -> Tensor:
+    """Log-softmax over the last axis."""
     a = _wrap(a)
     if np.isnan(a.values).any():
         raise NumericalError("log_softmax received NaN input")
-    m = a.values.max(axis=axis, keepdims=True)
+    m = a.values.max(axis=-1, keepdims=True)
     shifted = a.values - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
 
-    def bw(g, a=a, out=out, axis=axis):
-        _accum(a, g - np.exp(out) * g.sum(axis=axis, keepdims=True))
+    def bw(g, a=a, out=out):
+        _accum(a, g - np.exp(out) * g.sum(axis=-1, keepdims=True))
 
     return _make(out, "log_softmax", (a,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize to zero mean / unit population variance along the last axis, then affine.
 
     ``gain`` and ``bias`` are vectors with the extent of the last axis.
@@ -496,7 +496,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                          f"do not match axis extent {n}")
     mu = x.values.mean(axis=-1, keepdims=True)
     var = x.values.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x.values - mu) * inv
     out = xhat * gain.values + bias.values
 
@@ -554,7 +554,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
 # ---------------------------------------------------------------------------
 # verification
 
-def finite_diff_check(f, x: Tensor, h: float = 1e-5) -> float:
+def finite_diff_check(f, x: Tensor) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` must be a deterministic scalar-valued function of ``x`` (it may
@@ -580,12 +580,12 @@ def finite_diff_check(f, x: Tensor, h: float = 1e-5) -> float:
     with no_grad():
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             up = float(f(x).values)
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             down = float(f(x).values)
             flat[i] = orig
-            central = (up - down) / (2.0 * h)
+            central = (up - down) / (2.0 * FD_STEP)
             err = abs(analytic[i] - central) / max(1.0, abs(central))
             if err > worst:
                 worst = err

@@ -1,5 +1,5 @@
 """Adam training with linear warmup, per-epoch JSONL logging, and greedy
-evaluation against the paragraph metrics.
+decoding into paragraph pairs for the metrics.
 
 Videos are the batch unit so events inside each video stay sequential
 (the decoder memory depends on it). The contrastive term is computed once
@@ -227,9 +227,3 @@ def decode_pairs(model, records, table, vocab) -> list:
         refs = [tokenize(ev.caption) for ev in rec.events]
         pairs.append(M.ParagraphPair(hyps=hyps, refs=refs))
     return pairs
-
-
-def evaluate(model, records, table, vocab) -> dict:
-    """Greedy decoding plus the metric report, deterministic end to end."""
-    model.check_inputs(records, table, vocab)
-    return M.report(decode_pairs(model, records, table, vocab))

@@ -54,7 +54,7 @@ def attention_composed(q, k, v, mask=None):
     scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(q.shape[1]))
     if mask is not None:
         scores = T.add(scores, Tensor(np.where(mask, 0.0, -1e9)))
-    return T.matmul(T.softmax(scores, axis=1), v)
+    return T.matmul(T.softmax(scores), v)
 
 
 def select_and_fuse_loop(features, reference, wq, wk, wv):

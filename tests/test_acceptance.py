@@ -26,6 +26,8 @@ from paracap.nn import Embedding, SelfAttention
 from paracap.tensor import Tensor
 from paracap.training import TrainConfig, decode_pairs, train
 
+pytestmark = pytest.mark.slow
+
 
 def _verdict(number, ok, detail):
     print(f"criterion {number}: {'PASS' if ok else 'FAIL'} — {detail}")

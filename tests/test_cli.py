@@ -106,13 +106,17 @@ def run_main(argv):
     return code, err.getvalue()
 
 
-@pytest.fixture(scope="module")
-def data_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cli-data")
-    cfg = write_json(root / "world.json", GEN_CONFIG)
+def gen_world(root, **overrides):
+    """Output directory of ``gen-data`` on ``GEN_CONFIG`` changed by ``overrides``."""
+    cfg = write_json(root / "world.json", dict(GEN_CONFIG, **overrides))
     out = root / "data"
     assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def data_dir(tmp_path_factory):
+    return gen_world(tmp_path_factory.mktemp("cli-data"))
 
 
 @pytest.fixture(scope="module")
@@ -554,6 +558,53 @@ class TestEvalAndDecode:
             err = capsys.readouterr().err
             assert "checkpoint.json" in err and "small.json" in err
             assert "k=2 exceeds the 1 tokens" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("key, width, field, model_width", [
+        ("d_env", 10, "env", 12), ("d_agent", 7, "agents", 10), ("d_frame", 9, "frame", 16),
+    ])
+    def test_snippets_of_another_width_are_rejected_before_any_output(
+            self, run_dir, data_dir, tmp_path, capsys, key, width, field, model_width):
+        other = gen_world(tmp_path, **{key: width})
+        for command in ("eval", "decode"):
+            out = tmp_path / "out"
+            args = self.eval_args(run_dir, data_dir, out)
+            args[args.index("--manifest") + 1] = str(other / "held_out.jsonl")
+            assert main([command] + args) == 2
+            err = capsys.readouterr().err
+            assert str(other / "held_out.jsonl") in err
+            assert (f"video heldout-000 event 0 snippet 0: {field} width {width} "
+                    f"does not match model {key} {model_width}") in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("key, width", [("d_agent", 7), ("d_frame", 9)])
+    def test_env_only_checkpoint_ignores_the_widths_it_does_not_read(
+            self, data_dir, tmp_path, key, width):
+        cfg_obj = json.loads(json.dumps(TRAIN_CONFIG))
+        cfg_obj["model"]["modalities"] = ["env"]
+        cfg_obj["train"].update(epochs=0, warmup_epochs=0)
+        run = tmp_path / "run"
+        assert main(["train", "--config", write_json(tmp_path / "t.json", cfg_obj),
+                     "--manifest", str(data_dir / "train.jsonl"),
+                     "--table", str(data_dir / "table.json"), "--out", str(run)]) == 0
+        other = gen_world(tmp_path, **{key: width})
+        args = self.eval_args(run, data_dir, tmp_path / "out")
+        args[args.index("--manifest") + 1] = str(other / "held_out.jsonl")
+        assert main(["eval"] + args) == 0
+
+    def test_caption_without_tokens_is_rejected_before_any_output(
+            self, run_dir, data_dir, tmp_path, capsys):
+        manifest = edited_manifest(data_dir, tmp_path / "blank.jsonl",
+                                   lambda video: video["events"][1].update(caption="!!!"))
+        out = tmp_path / "out"
+        train_args = ["train", "--manifest", manifest,
+                      "--table", str(data_dir / "table.json"), "--out", str(out)]
+        eval_args = self.eval_args(run_dir, data_dir, out)
+        eval_args[eval_args.index("--manifest") + 1] = manifest
+        for argv in (train_args, ["eval"] + eval_args, ["decode"] + eval_args):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "blank.jsonl:2 event 1: caption '!!!' holds no tokens" in err
             assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "decode"])

@@ -385,6 +385,13 @@ class TestManifest:
                            match=r"event 0: missing field 'snippets'"):
             load_manifest(str(path))
 
+    @pytest.mark.parametrize("caption", ["", "!!!", " ... ?"])
+    def test_caption_without_tokens_names_the_event(self, tmp_path, caption):
+        path = self.broken(tmp_path, lambda o: o["events"][0].update(caption=caption))
+        with pytest.raises(ValidationError,
+                           match=r"bad\.jsonl:1 event 0: caption .* holds no tokens"):
+            load_manifest(path)
+
     def test_missing_frame_names_the_snippet(self, tmp_path):
         path = self.broken(
             tmp_path, lambda o: o["events"][0]["snippets"][0].pop("frame"))

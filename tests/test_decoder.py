@@ -123,7 +123,7 @@ class TestForwardEvent:
         mask = causal_join_mask(2, 3)
         h = dec.build_input(vid, ids)
         for layer in dec.layers:
-            h = layer.inner(h, mask)
+            h = layer.inner(h, mask, {})
         want_logits = dec.head(T.take_rows(h, np.arange(2, 5)))
         want_f = T.tmean(T.take_rows(h, np.arange(2)), axis=0)
         np.testing.assert_array_equal(logits.values, want_logits.values)

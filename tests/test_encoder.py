@@ -75,7 +75,7 @@ class TestLayerShapes:
     @pytest.mark.parametrize("make", [
         lambda rng: Linear(rng, 4, 3),
         lambda rng: SelfAttention(rng, 4),
-        lambda rng: (lambda x, a=MaskedMultiHeadAttention(rng, 4, 2): a(x, None)),
+        lambda rng: (lambda x, a=MaskedMultiHeadAttention(rng, 4, 2): a(x, None, {})),
     ], ids=["linear", "self-attention", "masked-attention"])
     @pytest.mark.parametrize("shape", [(2, 5), (2, 3), (4,), (1, 2, 4)])
     def test_wrong_input_width_or_rank_raises(self, rng, make, shape):

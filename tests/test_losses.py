@@ -6,8 +6,8 @@ import pytest
 import oracles
 from paracap import tensor as T
 from paracap.errors import NumericalError, ShapeError, ValidationError
-from paracap.losses import (LossConfig, captioning_loss, contrastive_loss,
-                            normalize_rows, repetition_penalty,
+from paracap.losses import (PROB_FLOOR, LossConfig, captioning_loss,
+                            contrastive_loss, normalize_rows, repetition_penalty,
                             smoothed_cross_entropy)
 from paracap.tensor import Tensor
 
@@ -83,12 +83,12 @@ class TestRepetitionPenalty:
         assert repetition_penalty(probs, [1, 2, 0, 1]).item() == 0.0
 
     def test_uniform_hand_value(self):
-        # Three positions, uniform 1/4 probabilities, all targets counted:
-        # history sizes 0, 1, 2 give 0 - log(3/4) - 2 log(3/4), and the
-        # mean over positions collapses to -log(3/4).
-        probs = Tensor(np.full((3, 4), 0.25))
-        tau = repetition_penalty(probs, [0, 1, 2], excludes=())
-        assert tau.item() == pytest.approx(-np.log(0.75), abs=1e-15)
+        # Three positions, uniform 1/8 probabilities, non-reserved targets:
+        # history sizes 0, 1, 2 give 0 - log(7/8) - 2 log(7/8), and the
+        # mean over positions collapses to -log(7/8).
+        probs = Tensor(np.full((3, 8), 0.125))
+        tau = repetition_penalty(probs, [4, 5, 6])
+        assert tau.item() == pytest.approx(-np.log(0.875), abs=1e-15)
 
     def test_matches_loop_oracle(self, rng):
         raw = rng.uniform(0.05, 1.0, size=(6, 8))
@@ -103,9 +103,9 @@ class TestRepetitionPenalty:
         probs[0, 3] = 1.0
         probs[1, 3] = 1.0      # re-predicts token 3 with certainty
         probs[:, 0] = 0.0
-        tau = repetition_penalty(Tensor(probs), [3, 3], floor=1e-8)
+        tau = repetition_penalty(Tensor(probs), [3, 3])
         assert np.isfinite(tau.item())
-        assert tau.item() == pytest.approx(-np.log(1e-8) / 2.0, rel=1e-12)
+        assert tau.item() == pytest.approx(-np.log(PROB_FLOOR) / 2.0, rel=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):

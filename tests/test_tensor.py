@@ -41,9 +41,17 @@ class TestForwardValues:
 
     def test_softmax_rows_sum_to_one(self, rng):
         x = rng.normal(scale=5.0, size=(6, 9))
-        out = T.softmax(Tensor(x), axis=1)
+        out = T.softmax(Tensor(x))
         np.testing.assert_allclose(out.values.sum(axis=1), np.ones(6),
                                    rtol=0, atol=1e-12)
+
+    def test_softmax_family_normalizes_the_last_axis_of_a_3d_input(self, rng):
+        x = rng.normal(scale=3.0, size=(2, 3, 5))
+        p = T.softmax(Tensor(x)).values
+        np.testing.assert_allclose(p.sum(axis=-1), np.ones((2, 3)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p[1, 2], oracles.softmax_loop(x[1, 2]), atol=1e-15)
+        np.testing.assert_allclose(np.exp(T.log_softmax(Tensor(x)).values), p,
+                                   rtol=0, atol=1e-15)
 
     def test_softmax_rejects_nan(self):
         with pytest.raises(NumericalError):
@@ -213,7 +221,7 @@ class TestFiniteDifference:
         ("exp_log_mix", lambda t: T.tsum(T.texp(t * 0.3) + T.tlog(T.clamp_min(t, 0.5)))),
         ("sigmoid_chain", lambda t: T.tsum(T.texp(T.log_sigmoid(t)) * T.log_sigmoid(t))),
         ("norm_mean", lambda t: T.tmean(T.l2_norm_rows(T.reshape(t, (2, 3))))),
-        ("log_softmax", lambda t: T.tsum(T.log_softmax(T.reshape(t, (2, 3)), axis=1)
+        ("log_softmax", lambda t: T.tsum(T.log_softmax(T.reshape(t, (2, 3)))
                                          * Tensor(np.arange(6.0).reshape(2, 3)))),
         ("concat_stack", lambda t: stacked_square_sum(t)),
     ])

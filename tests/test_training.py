@@ -9,8 +9,9 @@ import pytest
 import oracles
 from conftest import build_setup
 from paracap import gradcheck
+from paracap import metrics as M
 from paracap import tensor as T
-from paracap.data import Vocabulary, tokenize
+from paracap.data import tokenize
 from paracap.decoder import EventMemory
 from paracap.errors import NumericalError, ValidationError
 from paracap.losses import LossConfig
@@ -18,7 +19,7 @@ from paracap.model import CaptionModel
 from paracap.tensor import Tensor
 from paracap.training import (BETA1, BETA2, WEIGHT_DECAY, AdamState,
                               TrainConfig, adam_step, batch_loss, clip_gradients,
-                              decode_pairs, evaluate, train)
+                              decode_pairs, train)
 
 
 class TestTrainConfig:
@@ -307,23 +308,17 @@ class TestEvaluation:
 
     def test_evaluate_reports_the_corpus_counts(self):
         corpus, vocab, model = build_setup(model_overrides={"max_len": 4})
-        rep = evaluate(model, corpus.train, corpus.table, vocab)
+        rep = M.report(decode_pairs(model, corpus.train, corpus.table, vocab))
         assert rep["n_videos"] == len(corpus.train)
         assert rep["n_events"] == sum(len(r.events) for r in corpus.train)
 
     def test_evaluate_twice_is_identical(self):
         corpus, vocab, model = build_setup(model_overrides={"max_len": 4})
-        a = evaluate(model, corpus.train, corpus.table, vocab)
-        b = evaluate(model, corpus.train, corpus.table, vocab)
+        a = M.report(decode_pairs(model, corpus.train, corpus.table, vocab))
+        b = M.report(decode_pairs(model, corpus.train, corpus.table, vocab))
         assert a == b
-
-    def test_evaluate_rejects_mismatched_vocab(self, tiny_setup):
-        corpus, vocab, model = tiny_setup
-        stretched = Vocabulary(vocab.id_to_token[4:] + ["stray"])
-        with pytest.raises(ValidationError, match="mismatched vocab"):
-            evaluate(model, corpus.train, corpus.table, stretched)
 
     def test_evaluate_rejects_empty_dataset(self, tiny_setup):
         corpus, vocab, model = tiny_setup
         with pytest.raises(ValidationError):
-            evaluate(model, [], corpus.table, vocab)
+            decode_pairs(model, [], corpus.table, vocab)
