@@ -5,8 +5,10 @@ Inside an event a standard pre-norm transformer block mixes the rows under
 a causality mask. Between events, every layer keeps a memory of its hidden
 states from earlier events; while decoding event t, each position reads
 the matching position of all stored events, hard-selects the relevant
-ones, and folds the readout back into its own state. Memory entries are
-detached, so gradients never cross event boundaries.
+ones, and folds the readout back into its own state. One pass per layer
+reads every position at once, with attention masks keeping positions
+apart. Memory entries are detached, so gradients never cross event
+boundaries.
 """
 
 from __future__ import annotations
@@ -36,42 +38,61 @@ def causal_join_mask(n_video: int, n_text: int) -> np.ndarray:
     return mask
 
 
+def _pad_to(rows: np.ndarray, n: int) -> np.ndarray:
+    """``rows`` with its last position repeated until there are ``n``."""
+    return np.concatenate([rows, np.repeat(rows[-1:], n - rows.shape[0], axis=0)])
+
+
 class EventMemory:
-    """Per-layer stacks of detached hidden states from completed events."""
+    """Per-layer stores of detached hidden states from completed events.
+
+    A layer's store is one (positions, events, d) array. An event shorter
+    than the longest repeats its final row, so captions of different
+    lengths still line up.
+    """
 
     def __init__(self, n_layers: int):
         if n_layers < 1:
             raise ValidationError(f"memory needs n_layers >= 1, got {n_layers}")
         self.n_layers = n_layers
-        self._events = [[] for _ in range(n_layers)]
+        self._rows = [None] * n_layers
 
     def __len__(self) -> int:
-        return len(self._events[0])
+        return 0 if self._rows[0] is None else self._rows[0].shape[1]
 
     def append(self, layer_states):
         """Store one completed event; ``layer_states`` holds one (s, d) tensor per layer."""
         if len(layer_states) != self.n_layers:
             raise ShapeError(f"expected {self.n_layers} layer states, got {len(layer_states)}")
-        for layer, h in zip(self._events, layer_states):
-            if h.ndim != 2:
-                raise ShapeError(f"memory entries must be matrices, got shape {h.shape}")
-            layer.append(np.array(h.values, copy=True))
+        for h in layer_states:
+            if h.ndim != 2 or h.shape[0] == 0:
+                raise ShapeError(f"memory entries must be non-empty matrices, got shape {h.shape}")
+        stores = []
+        for rows, h in zip(self._rows, layer_states):
+            event = h.values[:, None, :]
+            if rows is None:
+                stores.append(event.copy())
+            else:
+                n = max(rows.shape[0], event.shape[0])
+                stores.append(np.concatenate([_pad_to(rows, n), _pad_to(event, n)], axis=1))
+        self._rows = stores
 
-    def rows_at(self, layer: int, position: int) -> np.ndarray:
-        """Row ``position`` of every stored event at one layer, shape (n_events, d).
+    def rows_block(self, layer: int, start: int, s: int) -> np.ndarray:
+        """Rows ``start`` to ``start + s - 1`` of every stored event at one
+        layer, position-major: shape (s * n_events, d), and row
+        ``p * n_events + e`` is event e's row at position ``start + p``.
 
-        Events shorter than ``position`` contribute their final row, so
-        captions of different lengths still line up.
+        An event shorter than a position offers its final row there.
         """
-        rows = [ev[min(position, ev.shape[0] - 1)] for ev in self._events[layer]]
-        return np.stack(rows, axis=0)
+        rows = self._rows[layer]
+        positions = np.minimum(np.arange(start, start + s), rows.shape[0] - 1)
+        return rows[positions].reshape(s * rows.shape[1], rows.shape[2])
 
 
 class DecoderLayer:
     """One decoder layer: masked in-event mixing plus the cross-event readout."""
 
     def __init__(self, rng: np.random.Generator, d: int, n_heads: int, ff_mult: int):
-        self.d = d
         self.ln1 = LayerNorm(d)
         self.attn = MaskedMultiHeadAttention(rng, d, n_heads)
         self.ln2 = LayerNorm(d)
@@ -90,21 +111,22 @@ class DecoderLayer:
         """Fold stored-event states into each row of ``h_bar``, the rows at
         positions ``start``, ``start + 1``, ...
 
-        Per position: hard-select among the stored events' rows using the
-        current state as reference, fuse the survivors, then mix readout
-        and state through the same attention block. Stored rows are
-        constants, so only this layer's mixing weights receive gradient
+        Per position: hard-select among the stored events' rows at that
+        position, with the current state as reference, and fuse the
+        survivors into a readout; then mix readout and state through the
+        same attention block and average the pair. All positions run as one
+        pass: one grouped ``select_and_fuse`` and one pair attention, masked
+        so that each pair sees only itself. Stored rows are constants, so
+        only this layer's mixing weights and ``h_bar`` receive gradient
         from the readout path.
         """
-        s = h_bar.shape[0]
-        mixed = []
-        for p in range(s):
-            past = Tensor(memory.rows_at(layer_index, start + p))
-            ref = Tensor(h_bar.values[p])
-            z = select_and_fuse(past, ref, self.mem_attn)
-            pair = T.concat([T.take_rows(h_bar, [p]), T.reshape(z, (1, self.d))], axis=0)
-            mixed.append(T.tmean(self.mem_attn(pair), axis=0))
-        return self.mem_mlp(T.stack(mixed, axis=0)) + h_bar
+        s, d = h_bar.shape
+        past = Tensor(memory.rows_block(layer_index, start, s))
+        z = select_and_fuse(past, Tensor(h_bar.values), self.mem_attn)
+        pair = T.concat([h_bar, z])   # rows p and s + p form pair p
+        mask = None if s == 1 else np.tile(np.eye(s, dtype=bool), (2, 2))
+        mixed = T.tmean(T.reshape(self.mem_attn(pair, mask), (2, s, d)), axis=0)
+        return self.mem_mlp(mixed) + h_bar
 
     def params(self) -> dict:
         return collect_params([

@@ -148,26 +148,46 @@ def select_and_fuse(features: Tensor, reference: Tensor, attn: SelfAttention,
     uniform level 1/N survive. Scoring is a hard decision outside the
     graph, so gradients flow only through the surviving rows. An empty
     survivor set falls back to the single best row.
+
+    A (d,) reference gives one (d,) vector. A (g, d) reference splits the
+    g·n feature rows into g groups of n consecutive rows; row i of the
+    reference selects within group i, and the result is (g, d). Every
+    group's survivors go through one attention, masked so that rows see
+    only their own group, and row i of the result is group i's mean.
+    ``return_indices`` also returns the kept rows' indices into
+    ``features``.
     """
     if features.ndim != 2:
         raise ShapeError(f"features must be (n, d), got {features.shape}")
-    n, d = features.shape
-    if n == 0:
+    n_rows, d = features.shape
+    if n_rows == 0:
         raise ShapeError("cannot select from zero feature rows")
-    if reference.shape != (d,):
-        raise ShapeError(f"reference shape {reference.shape} does not match width {d}")
-    shifted = features.values + reference.values[None, :]
-    norms = np.linalg.norm(shifted, axis=1)
-    norms = norms - norms.max()
-    e = np.exp(norms)
-    scores = e / e.sum()
-    keep = np.flatnonzero(scores > 1.0 / n)
-    if keep.size == 0:
-        keep = np.array([int(np.argmax(scores))])
-    subset = T.take_rows(features, keep)
-    fused = T.tmean(attn(subset), axis=0)
+    if reference.ndim not in (1, 2) or reference.shape[-1] != d:
+        raise ShapeError(f"reference must be ({d},) or (g, {d}), got shape {reference.shape}")
+    refs = reference.values.reshape(-1, d)
+    g = refs.shape[0]
+    if g == 0 or n_rows % g:
+        raise ShapeError(f"{n_rows} feature rows do not split into {g} groups")
+    n = n_rows // g
+    norms = np.linalg.norm(features.values.reshape(g, n, d) + refs[:, None, :], axis=2)
+    e = np.exp(norms - norms.max(axis=1, keepdims=True))
+    scores = e / e.sum(axis=1, keepdims=True)
+    keep = scores > 1.0 / n
+    empty = ~keep.any(axis=1)
+    if empty.any():
+        keep[empty, np.argmax(scores[empty], axis=1)] = True
+    kept = np.flatnonzero(keep)
+    subset = T.take_rows(features, kept)
+    if g == 1:
+        fused = T.tmean(attn(subset), axis=0, keepdims=reference.ndim == 2)
+    else:
+        group = kept // n
+        same = group[:, None] == group[None, :]
+        member = group[None, :] == np.arange(g)[:, None]
+        fused = T.matmul(Tensor(member / member.sum(axis=1, keepdims=True)),
+                         attn(subset, same))
     if return_indices:
-        return fused, keep
+        return fused, kept
     return fused
 
 

@@ -253,12 +253,11 @@ class _FrozenMemory(EventMemory):
 
     def __init__(self, base: EventMemory):
         super().__init__(base.n_layers)
-        self._stored = base._events
+        self._stored = base._rows
 
     def append(self, layer_states):
-        n = len(self)
-        for layer, stored in zip(self._events, self._stored):
-            layer.append(stored[n])
+        n = len(self) + 1
+        self._rows = [rows[:, :n] for rows in self._stored]
 
 
 def run_end_to_end_check(seed: int = SEED) -> dict:

@@ -75,9 +75,10 @@ class SelfAttention:
         self.wk = _init(rng, (d, d))
         self.wv = _init(rng, (d, d))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, mask=None) -> Tensor:
+        """Attend among the rows of ``x``; ``mask`` as in ``T.attention``."""
         return T.attention(T.matmul(x, self.wq), T.matmul(x, self.wk),
-                           T.matmul(x, self.wv))
+                           T.matmul(x, self.wv), mask)
 
     def params(self) -> dict:
         return {"wq": self.wq, "wk": self.wk, "wv": self.wv}

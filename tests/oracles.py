@@ -13,6 +13,7 @@ import numpy as np
 
 from paracap import tensor as T
 from paracap.data import BOS_ID, EOS_ID
+from paracap.encoder import select_and_fuse
 from paracap.tensor import Tensor
 
 
@@ -193,6 +194,24 @@ def greedy_decode_full(decoder, video_rows, memory, max_len):
     if out and out[-1] == EOS_ID:
         out = out[:-1]
     return out, rows
+
+
+def read_memory_loop(layer, h_bar, memory, layer_index, start):
+    """``DecoderLayer.read_memory`` one position at a time: per row, a
+    one-reference selection over the stored events' rows at that position,
+    then a two-row attention over (state, readout) and its mean.
+
+    Returns (the readout rows, each position's kept event indices).
+    """
+    mixed, kept = [], []
+    for p in range(h_bar.shape[0]):
+        past = Tensor(memory.rows_block(layer_index, start + p, 1))
+        z, keep = select_and_fuse(past, Tensor(h_bar.values[p]), layer.mem_attn,
+                                  return_indices=True)
+        pair = T.concat([T.take_rows(h_bar, [p]), T.reshape(z, (1, z.shape[0]))], axis=0)
+        mixed.append(T.tmean(layer.mem_attn(pair), axis=0))
+        kept.append(keep)
+    return layer.mem_mlp(T.stack(mixed, axis=0)) + h_bar, kept
 
 
 # ---------------------------------------------------------------------------

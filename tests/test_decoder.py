@@ -6,6 +6,7 @@ weight after the softmax — so "cannot see" means bitwise invariance, not
 just approximate invariance.
 """
 
+import contextlib
 import copy
 import json
 
@@ -14,10 +15,12 @@ import pytest
 
 import oracles
 from conftest import build_setup
+from paracap import decoder, gradcheck
 from paracap import tensor as T
 from paracap.data import BOS_ID, EOS_ID, Vocabulary
-from paracap.decoder import (CaptionDecoder, EventMemory, causal_join_mask,
+from paracap.decoder import (CaptionDecoder, DecoderLayer, EventMemory, causal_join_mask,
                              greedy_decode)
+from paracap.encoder import select_and_fuse
 from paracap.errors import ShapeError, ValidationError
 from paracap.model import CaptionModel
 from paracap.nn import Embedding
@@ -93,22 +96,30 @@ class TestEventMemory:
         with pytest.raises(ShapeError):
             memory.append([Tensor(np.zeros(D))])
 
+    def test_append_rejects_empty_entries_and_stores_nothing(self):
+        memory = EventMemory(2)
+        with pytest.raises(ShapeError, match="non-empty"):
+            memory.append([self.entry(3, 1), Tensor(np.zeros((0, D)))])
+        assert len(memory) == 0
+        memory.append([self.entry(2, 1), self.entry(2, 2)])
+        np.testing.assert_array_equal(memory.rows_block(1, 0, 2), np.full((2, D), 2.0))
+
     def test_rows_at_clamps_shorter_events(self):
         memory = EventMemory(1)
         short = Tensor(np.arange(2.0 * D).reshape(2, D))
         long = Tensor(np.arange(5.0 * D).reshape(5, D) + 100.0)
         memory.append([short])
         memory.append([long])
-        rows = memory.rows_at(0, 4)
-        np.testing.assert_array_equal(rows[0], short.values[1])
-        np.testing.assert_array_equal(rows[1], long.values[4])
+        rows = memory.rows_block(0, 3, 2)   # positions 3 and 4, position-major
+        np.testing.assert_array_equal(rows, [short.values[1], long.values[3],
+                                             short.values[1], long.values[4]])
 
     def test_entries_are_detached_copies(self):
         memory = EventMemory(1)
         state = Tensor(np.ones((3, D)))
         memory.append([state])
         state.values[:] = -7.0
-        np.testing.assert_array_equal(memory.rows_at(0, 0),
+        np.testing.assert_array_equal(memory.rows_block(0, 0, 1),
                                       np.ones((1, D)))
 
 
@@ -232,6 +243,105 @@ class TestMemoryAcrossEvents:
         assert np.abs(grad[6]).max() > 0
 
 
+def jittered_layer(seed):
+    """A decoder layer with weights moved well away from the near-zero init."""
+    rng = np.random.default_rng(seed)
+    layer = DecoderLayer(rng, D, 2, 1)
+    for p in layer.params().values():
+        p.values = p.values + rng.normal(0.0, 0.3, size=p.shape)
+    return layer
+
+
+def ragged_memory(seed, n_events):
+    """A one-layer memory of ``n_events`` stored events of 1-8 rows each."""
+    rng = np.random.default_rng(seed)
+    memory = EventMemory(1)
+    for _ in range(n_events):
+        memory.append([Tensor(rng.normal(size=(int(rng.integers(1, 9)), D)))])
+    return memory
+
+
+@pytest.fixture
+def kept_rows(monkeypatch):
+    """The flat kept indices of each selection ``read_memory`` makes."""
+    calls = []
+
+    def recording(features, reference, attn):
+        fused, keep = select_and_fuse(features, reference, attn, return_indices=True)
+        calls.append(keep)
+        return fused
+
+    monkeypatch.setattr(decoder, "select_and_fuse", recording)
+    return calls
+
+
+class TestMemoryReadout:
+    """The one-pass readout against the per-position loop oracle."""
+
+    @staticmethod
+    def readout_and_grads(layer, h_bar, weights, readout):
+        """Readout values, then the gradients of sum(weights * readout) for
+        the readout's parameters and ``h_bar`` (no gradients under no_grad)."""
+        tensors = {n: p for n, p in layer.params().items() if n.startswith("mem_")}
+        tensors["h_bar"] = h_bar
+        T.zero_grads(tensors.values())
+        out = readout()
+        if not out.requires_grad:
+            return out.values, {}
+        T.backward(T.tsum(out * weights))
+        return out.values, {n: t.grad for n, t in tensors.items()}
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["tape", "no_grad"])
+    @pytest.mark.parametrize("n_events", [1, 2, 3, 4, 5])
+    def test_matches_the_loop_oracle(self, n_events, grad, kept_rows):
+        several = 0
+        for s in range(1, 14):
+            for start in range(4):
+                seed = 1000 * n_events + 10 * s + start
+                rng = np.random.default_rng(seed)
+                layer, memory = jittered_layer(seed), ragged_memory(seed + 1, n_events)
+                h_bar = Tensor(rng.normal(size=(s, D)), requires_grad=True)
+                weights = rng.normal(size=(s, D))
+                with T.no_grad() if not grad else contextlib.nullcontext():
+                    got, got_grads = self.readout_and_grads(
+                        layer, h_bar, weights, lambda: layer.read_memory(h_bar, memory, 0, start))
+                    loop_kept = []
+
+                    def loop():
+                        out, kept = oracles.read_memory_loop(layer, h_bar, memory, 0, start)
+                        loop_kept.extend(kept)
+                        return out
+
+                    want, want_grads = self.readout_and_grads(layer, h_bar, weights, loop)
+                assert_close(got, want)
+                assert sorted(got_grads) == sorted(want_grads)
+                assert len(got_grads) == (8 if grad else 0)
+                for name, g in got_grads.items():
+                    assert_close(g, want_grads[name])
+                np.testing.assert_array_equal(
+                    kept_rows[-1], np.concatenate([p * n_events + k
+                                                   for p, k in enumerate(loop_kept)]))
+                several += max(len(k) for k in loop_kept) >= 2
+        assert several > 0 or n_events <= 2
+
+    def test_multi_row_readout_matches_finite_differences(self, kept_rows):
+        rng = np.random.default_rng(5)
+        n_events, s, start = 4, 6, 1
+        layer, memory = jittered_layer(5), ragged_memory(6, n_events)
+        h_bar = Tensor(rng.normal(size=(s, D)), requires_grad=True)
+        weights = rng.normal(size=(s, D))
+
+        def f(_):
+            return T.tsum(layer.read_memory(h_bar, memory, 0, start) * weights)
+
+        f(None)
+        assert np.bincount(kept_rows[-1] // n_events, minlength=s).max() >= 2
+        targets = {n: p for n, p in layer.params().items() if n.startswith("mem_")}
+        targets["h_bar"] = h_bar
+        for name, x in targets.items():
+            assert T.finite_diff_check(f, x) <= gradcheck.PRIMITIVE_TOL, name
+
+
 class TestGreedyDecode:
     def test_eos_dominant_head_yields_empty_caption(self):
         dec = make_decoder()
@@ -283,8 +393,8 @@ def eos_at(seed, n_video, n_tokens, max_pos=16):
 
 def committed(memory, n_rows):
     """Each layer's rows of the last event stored in ``memory``."""
-    return [np.stack([memory.rows_at(layer, p)[-1] for p in range(n_rows)])
-            for layer in range(memory.n_layers)]
+    n = len(memory)
+    return [memory.rows_block(layer, 0, n_rows)[n - 1::n] for layer in range(memory.n_layers)]
 
 
 def assert_close(got, want, tol=1e-12):
@@ -333,9 +443,9 @@ class TestIncrementalDecode:
             n_rows = n_video + 1 + len(ids) + (ending is not None)
             for got, want_layer in zip(committed(memory, n_rows), committed(replay, n_rows)):
                 assert_close(got, want_layer)
-            # and no row past them: rows_at repeats an event's last row
-            np.testing.assert_array_equal(memory.rows_at(0, n_rows)[-1],
-                                          memory.rows_at(0, n_rows - 1)[-1])
+            # and no row past them: rows_block repeats an event's last row
+            np.testing.assert_array_equal(memory.rows_block(0, n_rows, 1)[-1],
+                                          memory.rows_block(0, n_rows - 1, 1)[-1])
 
     def test_row_count_bound_is_the_one_check_inputs_uses(self):
         # with no EOS an event takes a row per snippet, BOS and max_len tokens

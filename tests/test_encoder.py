@@ -71,6 +71,63 @@ class TestSelectAndFuse:
             select_and_fuse(Tensor(np.zeros((2, 4))), Tensor(np.zeros(3)), attn)
 
 
+class TestGroupedSelection:
+    """A (g, d) reference against g one-reference calls on the g slices."""
+
+    @staticmethod
+    def groups(rng, g, n, d, tied=()):
+        """g groups of n rows; the groups in ``tied`` repeat one row n times,
+        so no row clears 1/n and selection falls back to the first."""
+        rows = rng.normal(size=(g, n, d))
+        for i in tied:
+            rows[i] = rng.normal(size=d)
+        return rows.reshape(g * n, d)
+
+    @pytest.mark.parametrize("g, n, tied", [(4, 5, ()), (3, 6, (1,)), (5, 1, ()),
+                                            (6, 4, (0, 5)), (2, 4, (0, 1))])
+    def test_matches_one_call_per_group(self, rng, g, n, tied):
+        d = 6
+        attn = make_attn(rng, d)
+        for p in attn.params().values():
+            p.values = rng.normal(0.0, 0.5, size=p.shape)
+        features = Tensor(self.groups(rng, g, n, d, tied))
+        reference = Tensor(rng.normal(size=(g, d)))
+        fused, kept = select_and_fuse(features, reference, attn, return_indices=True)
+        assert fused.shape == (g, d)
+        want_kept = []
+        for i in range(g):
+            want, keep = select_and_fuse(Tensor(features.values[i * n:(i + 1) * n]),
+                                         Tensor(reference.values[i]), attn,
+                                         return_indices=True)
+            np.testing.assert_allclose(fused.values[i], want.values, rtol=0, atol=1e-12)
+            want_kept.extend(i * n + keep)
+            if i in tied:
+                np.testing.assert_array_equal(keep, [0])
+        np.testing.assert_array_equal(kept, want_kept)
+        if len(tied) < g and n > 2:
+            # the untied groups include one that keeps several rows
+            assert np.bincount(kept // n, minlength=g).max() >= 2
+
+    def test_one_group_keeps_the_reference_rank(self, rng):
+        attn = make_attn(rng, 4)
+        features = Tensor(rng.normal(size=(3, 4)))
+        reference = rng.normal(size=4)
+        vector = select_and_fuse(features, Tensor(reference), attn)
+        matrix = select_and_fuse(features, Tensor(reference[None, :]), attn)
+        assert vector.shape == (4,) and matrix.shape == (1, 4)
+        np.testing.assert_array_equal(matrix.values[0], vector.values)
+
+    @pytest.mark.parametrize("features, reference", [
+        (np.zeros((7, 4)), np.zeros((2, 4))),      # 7 rows do not split into 2 groups
+        (np.zeros((6, 4)), np.zeros((2, 3))),      # reference width 3, features 4
+        (np.zeros((6, 4)), np.zeros((2, 3, 4))),   # 3-D reference
+        (np.zeros((6, 4)), np.zeros((0, 4))),      # no groups
+    ], ids=["indivisible", "width", "rank", "empty"])
+    def test_bad_grouping_raises_shape_error(self, rng, features, reference):
+        with pytest.raises(ShapeError):
+            select_and_fuse(Tensor(features), Tensor(reference), make_attn(rng, 4))
+
+
 class TestLayerShapes:
     @pytest.mark.parametrize("make", [
         lambda rng: Linear(rng, 4, 3),

@@ -253,7 +253,8 @@ class TestBatchLoss:
 
     @staticmethod
     def stored(memory):
-        return memory._events   # per layer, each event's state rows
+        # per layer, each event's state rows, padded with its last row
+        return [np.moveaxis(rows, 1, 0) for rows in memory._rows]
 
     def test_frozen_memory_is_live_memory_at_the_evaluation_point(self, world):
         model, record, table, vocab, base = world
