@@ -164,6 +164,30 @@ def _primitive_cases():
                     + T.tsum(T.attention(q, k, x) * w))
         return f, x
 
+    def case_attention_heads(rng):
+        # x stands in for the input rows, then for head 1's wq, then (as a
+        # vector) for head 0's bv; the first two calls run under a causal
+        # mask, the last unmasked
+        def heads(d, e):
+            return [(_weights(rng, (d, e)), _weights(rng, (e,)),
+                     _weights(rng, (d, e)), _weights(rng, (e,)),
+                     _weights(rng, (d, e)), _weights(rng, (e,))) for _ in range(2)]
+
+        first, second, third = heads(4, 2), heads(3, 4), heads(2, 12)
+        rows_b = Tensor(rng.normal(size=(5, 3)))
+        rows_c = Tensor(rng.normal(size=(4, 2)))
+        w_a, w_b, w_c = _weights(rng, (3, 4)), _weights(rng, (5, 8)), _weights(rng, (4, 24))
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+
+        def f(x):
+            b_heads = [second[0], (x,) + second[1][1:]]
+            c_heads = [third[0][:5] + (T.reshape(x, (12,)),), third[1]]
+            causal = np.tril(np.ones((5, 5), dtype=bool))
+            return (T.tsum(T.attention_heads(x, first, causal[:3, :3], {}) * w_a)
+                    + T.tsum(T.attention_heads(rows_b, b_heads, causal, {}) * w_b)
+                    + T.tsum(T.attention_heads(rows_c, c_heads, None, {}) * w_c))
+        return f, x
+
     def case_clamp_min(rng):
         w = _weights(rng, (3, 4))
         x = Tensor(_away_from_zero(rng, (3, 4)), requires_grad=True)
@@ -193,11 +217,13 @@ def _primitive_cases():
         x = Tensor(rng.uniform(0.5, 1.5, size=(4,)), requires_grad=True)
         return lambda x: T.tsum(T.layer_norm(h, x, bias) * w), x
 
-    # a case draws its inputs from its list position, so the attention case
-    # goes after the sorted ones and leaves their inputs as they were
+    # a case draws its inputs from its list position, so the attention cases
+    # go after the sorted ones, in the order they were added, and leave the
+    # earlier cases' inputs as they were
+    late = [("attention", case_attention), ("attention_heads", case_attention_heads)]
     cases = [(name[5:], fn) for name, fn in sorted(locals().items())
-             if name.startswith("case_") and fn is not case_attention]
-    return cases + [("attention", case_attention)]
+             if name.startswith("case_") and (name[5:], fn) not in late]
+    return cases + late
 
 
 def run_primitive_checks() -> dict:

@@ -100,20 +100,11 @@ class MaskedMultiHeadAttention:
     def __call__(self, x: Tensor, mask, cache: dict) -> Tensor:
         """Attend from the rows of ``x`` to the rows passed in earlier calls
         with ``cache`` and to the rows of ``x``, under ``mask`` (None: every
-        row is visible).
-
-        ``cache`` (a dict, empty before the first call) holds each head's
-        keys and values of those earlier rows; the keys and values of ``x``
-        join it.
+        row is visible); ``cache`` as in ``T.attention_heads``.
         """
-        heads = []
-        for h in range(self.n_heads):
-            k, v = self.wk[h](x), self.wv[h](x)
-            if h in cache:
-                k, v = T.concat([cache[h][0], k]), T.concat([cache[h][1], v])
-            cache[h] = (k, v)
-            heads.append(T.attention(self.wq[h](x), k, v, mask))
-        return self.wo(T.concat(heads, axis=1))
+        projections = [(q.w, q.b, k.w, k.b, v.w, v.b)
+                       for q, k, v in zip(self.wq, self.wk, self.wv)]
+        return self.wo(T.attention_heads(x, projections, mask, cache))
 
     def params(self) -> dict:
         heads = [(f"{group}{h}", lins[h]) for h in range(self.n_heads)

@@ -6,10 +6,11 @@ the output, so the graph reachable from a scalar is a ready-made dynamic
 tape: :func:`backward` walks it once in reverse topological order and
 accumulates exact analytic gradients into every ``requires_grad`` leaf.
 
-Everything runs eagerly in float64. The one fused op, :func:`attention`,
-repeats the numpy calls of the primitives it stands for; there is no graph
-compilation and no hidden precision loss, which keeps central-difference
-verification (:func:`finite_diff_check`) meaningful down to ~1e-9.
+Everything runs eagerly in float64. The two fused ops, :func:`attention`
+and :func:`attention_heads`, repeat the numpy calls of the primitives they
+stand for; there is no graph compilation and no hidden precision loss,
+which keeps central-difference verification (:func:`finite_diff_check`)
+meaningful down to ~1e-9.
 
 Forward and backward are bit-deterministic for a fixed graph: traversal
 order depends only on graph structure, and gradient accumulation happens
@@ -512,6 +513,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _make(out, "layer_norm", (x, gain, bias), bw)
 
 
+def _attend(q, kt, v, mask):
+    """The score / softmax / value core over a leading head axis: ``q``
+    (h, n, d), ``kt`` (h, d, m), ``v`` (h, m, e) and a boolean (n, m)
+    ``mask`` or None; returns (the softmax weights, their mix of ``v``)."""
+    scores = (q @ kt) * (1.0 / np.sqrt(q.shape[2]))
+    if mask is not None:
+        scores = scores + np.where(mask, 0.0, -1e9)
+    if np.isnan(scores).any():
+        raise NumericalError("attention received NaN scores")
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    p = e / e.sum(axis=2, keepdims=True)
+    return p, p @ v
+
+
+def _attend_grads(g, q, kt, v, p):
+    """Gradients of ``_attend``'s q, k (not kt) and v from its output gradient ``g``."""
+    gp = g @ v.transpose(0, 2, 1)
+    gv = p.transpose(0, 2, 1) @ g
+    gs = p * (gp - (gp * p).sum(axis=2, keepdims=True)) * (1.0 / np.sqrt(q.shape[2]))
+    return gs @ kt.transpose(0, 2, 1), (q.transpose(0, 2, 1) @ gs).transpose(0, 2, 1), gv
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     """Scaled dot-product attention, ``softmax(q k^T / sqrt(d) [+ bias]) v``, as one node.
 
@@ -530,25 +553,75 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
     if mask is not None and np.shape(mask) != (q.shape[0], k.shape[0]):
         raise ShapeError(f"mask shape {np.shape(mask)} does not match "
                          f"{q.shape[0]} queries and {k.shape[0]} keys")
-    scale = 1.0 / np.sqrt(q.shape[1])
-    kt = k.values.T.copy()
-    scores = (q.values @ kt) * scale
-    if mask is not None:
-        scores = scores + np.where(mask, 0.0, -1e9)
-    if np.isnan(scores).any():
-        raise NumericalError("attention received NaN scores")
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
+    kt = k.values.T.copy()[None]
+    p, out = _attend(q.values[None], kt, v.values[None], mask)
 
-    def bw(g, q=q, k=k, v=v, kt=kt, p=p, scale=scale):
-        gp = g @ v.values.T
-        gv = p.T @ g
-        gs = p * (gp - (gp * p).sum(axis=1, keepdims=True)) * scale
-        _accum(q, gs @ kt.T)
-        _accum(k, (q.values.T @ gs).T)
-        _accum(v, gv)
+    def bw(g, q=q, k=k, v=v, kt=kt, p=p):
+        gq, gk, gv = _attend_grads(g[None], q.values[None], kt, v.values[None], p)
+        _accum(q, gq[0])
+        _accum(k, gk[0])
+        _accum(v, gv[0])
 
-    return _make(p @ v.values, "attention", (q, k, v), bw)
+    return _make(out[0], "attention", (q, k, v), bw)
+
+
+def attention_heads(x: Tensor, projections, mask, cache: dict) -> Tensor:
+    """Multi-head self-attention over the rows of ``x``, without the output
+    map, as one node: the heads' outputs side by side, (rows, heads * e).
+
+    ``projections`` lists each head's ``(wq, bq, wk, bk, wv, bv)``; head
+    h's queries, keys and values are ``x @ w + b`` with its own weights,
+    and it attends as ``attention`` does, under ``mask``. ``cache`` (a
+    dict, empty before the first call) holds every head's keys and values
+    of the rows passed in earlier calls; the rows of ``x`` attend to those
+    first and then join them. A non-empty cache is refused while the tape
+    records, since no gradient reaches the cached rows.
+
+    Each head keeps its own ``x @ w`` matmul: one (d, heads * e) matmul is
+    not bitwise equal to them. Forward and backward repeat the numpy calls
+    of the per-head Linear / attention / concat composition, and ``x``
+    receives its gradient in that composition's order (q0, k0, v0, q1, ...),
+    so values and gradients are bitwise equal to it.
+    """
+    x = _wrap(x)
+    params = [t for head in projections for t in head]
+    w = np.array([t.values for t in params[0::2]])   # (3 * heads, d, e)
+    if x.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ShapeError(f"attention_heads needs a matrix of width {w.shape[1]}, got {x.shape}")
+    n_heads, rows = len(projections), x.shape[0]
+    if cache and _state.grad_enabled:
+        raise RuntimeError("attention_heads with cached rows cannot record gradients; "
+                         "run cached calls under no_grad")
+    n_keys = rows + (cache["k"].shape[1] if cache else 0)
+    if mask is not None and np.shape(mask) != (rows, n_keys):
+        raise ShapeError(f"mask shape {np.shape(mask)} does not match "
+                         f"{rows} queries and {n_keys} keys")
+    b = np.array([t.values for t in params[1::2]])[:, None]
+    qkv = (x.values @ w + b).reshape(n_heads, 3, rows, w.shape[2])
+    q, k, v = qkv[:, 0], qkv[:, 1], qkv[:, 2]
+    if cache:
+        k = np.concatenate([cache["k"], k], axis=1)
+        v = np.concatenate([cache["v"], v], axis=1)
+    cache["k"], cache["v"] = k, v
+    kt = k.transpose(0, 2, 1).copy()
+    p, out = _attend(q, kt, v, mask)
+
+    def bw(g, x=x, params=params, q=q, kt=kt, v=v, p=p):
+        w = np.array([t.values for t in params[0::2]])   # not kept: the tape holds no weight copy
+        g = g.reshape(rows, n_heads, -1).transpose(1, 0, 2).copy()
+        # (heads, 3, rows, e) holds each head's q, k, v gradient contiguously,
+        # as the composition's nodes held them
+        gqkv = np.stack(_attend_grads(g, q, kt, v, p), axis=1).reshape(w.shape[0], rows, -1)
+        gx = gqkv @ w.transpose(0, 2, 1)
+        gw = x.values.T @ gqkv
+        gb = gqkv.sum(axis=1)
+        for i in range(w.shape[0]):
+            _accum(x, gx[i])
+            _accum(params[2 * i], gw[i])
+            _accum(params[2 * i + 1], gb[i])
+
+    return _make(out.transpose(1, 0, 2).reshape(rows, -1), "attention_heads",
+                 (x, *params), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,20 @@ def attention_composed(q, k, v, mask=None):
     return T.matmul(T.softmax(scores), v)
 
 
+def masked_multi_head_loop(block, x, mask, cache):
+    """``MaskedMultiHeadAttention`` as a per-head loop of tape primitives:
+    three ``Linear``s and one ``T.attention`` per head, the head concat,
+    then ``wo``. ``cache`` maps each head to its (keys, values) tensors."""
+    heads = []
+    for h in range(block.n_heads):
+        k, v = block.wk[h](x), block.wv[h](x)
+        if h in cache:
+            k, v = T.concat([cache[h][0], k]), T.concat([cache[h][1], v])
+        cache[h] = (k, v)
+        heads.append(T.attention(block.wq[h](x), k, v, mask))
+    return block.wo(T.concat(heads, axis=1))
+
+
 def select_and_fuse_loop(features, reference, wq, wk, wv):
     """Hard row selection against a reference, then attention-and-mean."""
     features = np.asarray(features, dtype=np.float64)

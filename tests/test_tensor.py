@@ -9,6 +9,7 @@ import oracles
 from paracap import gradcheck
 from paracap import tensor as T
 from paracap.errors import NumericalError, ShapeError
+from paracap.nn import MaskedMultiHeadAttention
 from paracap.tensor import Tensor
 
 
@@ -180,6 +181,75 @@ class TestAttention:
         q = Tensor(np.array([[np.nan, 0.0]]))
         with pytest.raises(NumericalError):
             T.attention(q, Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
+
+
+def jittered_block(rng, d, n_heads):
+    """A masked multi-head block with weights and biases far from the
+    near-zero init, so every head's softmax is far from uniform."""
+    block = MaskedMultiHeadAttention(rng, d, n_heads)
+    for p in block_params(block):
+        p.values = rng.normal(0.0, 0.3, size=p.shape)
+    return block
+
+
+def block_params(block):
+    return list(block.params().values())
+
+
+class TestAttentionHeads:
+    @pytest.mark.parametrize("d,n_heads", [(24, 2), (32, 4), (64, 4)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_the_per_head_oracle_bitwise(self, rng, d, n_heads, masked):
+        block = jittered_block(rng, d, n_heads)
+        x_values = rng.normal(size=(7, d))
+        w = Tensor(rng.normal(size=(7, d)))
+        mask = np.tril(np.ones((7, 7), dtype=bool)) if masked else None
+        results = []
+        for attend in (block, lambda *a: oracles.masked_multi_head_loop(block, *a)):
+            x = leaf(x_values)
+            T.zero_grads(block_params(block))
+            out = attend(x, mask, {})
+            T.backward(T.tsum(out * w))
+            results.append([out.values, x.grad] + [p.grad for p in block_params(block)])
+        assert len(results[0]) == 6 * n_heads + 4   # output, x, per-head q/k/v, wo
+        for fused, looped in zip(*results):
+            np.testing.assert_array_equal(fused, looped)
+
+    def test_cached_step_matches_the_last_row_of_a_full_pass(self, rng):
+        block = jittered_block(rng, 24, 2)
+        x = rng.normal(size=(6, 24))
+        cache = {}
+        with T.no_grad():
+            full = block(Tensor(x), np.tril(np.ones((6, 6), dtype=bool)), {})
+            block(Tensor(x[:5]), np.tril(np.ones((5, 5), dtype=bool)), cache)
+            step = block(Tensor(x[5:]), None, cache)
+        assert cache["k"].shape == cache["v"].shape == (2, 6, 12)
+        np.testing.assert_allclose(step.values[0], full.values[5], rtol=1e-12, atol=0)
+
+    def test_one_block_call_records_three_nodes(self, rng):
+        block = jittered_block(rng, 32, 4)
+        out = block(leaf(rng.normal(size=(5, 32))), None, {})
+        ops = sorted(node.op for node in T.toposort(out) if node.op != "leaf")
+        assert ops == ["add", "attention_heads", "matmul"]
+
+    def test_cached_call_refused_while_recording(self, rng):
+        block = jittered_block(rng, 8, 2)
+        cache = {}
+        with T.no_grad():
+            block(Tensor(rng.normal(size=(3, 8))), None, cache)
+        with pytest.raises(RuntimeError, match="no_grad"):
+            block(leaf(rng.normal(size=(1, 8))), None, cache)
+        assert cache["k"].shape == (2, 3, 4)   # the refused call stored nothing
+
+    @pytest.mark.parametrize("cached_rows,shape", [(0, (3, 4)), (0, (4, 3)), (1, (3, 3))])
+    def test_mask_must_cover_cached_and_new_rows(self, rng, cached_rows, shape):
+        block = jittered_block(rng, 8, 2)
+        cache = {}
+        with T.no_grad():
+            if cached_rows:
+                block(Tensor(rng.normal(size=(cached_rows, 8))), None, cache)
+            with pytest.raises(ShapeError):
+                block(Tensor(rng.normal(size=(3, 8))), np.ones(shape, dtype=bool), cache)
 
 
 class TestFiniteDifference:
