@@ -5,7 +5,9 @@ matrix of per-agent features, and a frame embedding used to retrieve
 nearby vocabulary tokens. This walkthrough builds a tiny hand-made
 vocabulary table, retrieves scene elements for a frame, shows the hard
 selection step choosing which rows survive, and fuses the three stream
-summaries into the final snippet vector.
+summaries into the final snippet vector. The encoder runs a whole event's
+snippets at once, one row per snippet, so the walkthrough encodes two
+snippets: the one it inspects and one with nobody in it.
 
 Run: python3 demos/02_snippet_encoder.py
 """
@@ -52,18 +54,21 @@ def main():
     snippet = SnippetInput(env=rng.normal(size=5),
                            agents=rng.normal(size=(3, 6)),
                            frame=frame)
+    empty = SnippetInput(env=rng.normal(size=5), agents=np.zeros((0, 6)),
+                         frame=features[3])
+    snippets = [snippet, empty]
     enc = SnippetEncoder(rng, d_env=5, d_agent=6, d_element=d_frame,
                          d_emb=8)
     # A fresh init sits deliberately close to zero; nudge the weights to
     # a generic point so the stream summaries are readable.
     for p in enc.params().values():
         p.values = p.values + rng.normal(0.0, 0.4, size=p.values.shape)
-    f_env = enc.encode_environment(snippet.env)
+    f_env = enc.env_mlp(Tensor(np.stack([s.env for s in snippets])))
     print("environment summary      ",
-          np.array_str(f_env.values, precision=2))
+          np.array_str(f_env.values[0], precision=2))
 
     projected = enc.agent_mlp(Tensor(snippet.agents))
-    shifted = projected.values + f_env.values[None, :]
+    shifted = projected.values + f_env.values[0][None, :]
     norms = np.linalg.norm(shifted, axis=1)
     norms -= norms.max()
     scores = np.exp(norms) / np.exp(norms).sum()
@@ -73,18 +78,21 @@ def main():
     kept = np.flatnonzero(scores > 1.0 / len(scores))
     print(f"agents surviving the cut: {[int(i) for i in kept]} "
           "(scores above the uniform level)")
-    f_agent = enc.encode_agents(snippet.agents, f_env)
+    f_agent = enc.encode_agents([s.agents for s in snippets], f_env)
     print("agent summary            ",
-          np.array_str(f_agent.values, precision=2))
+          np.array_str(f_agent.values[0], precision=2))
+    print("empty snippet's summary  ",
+          np.array_str(f_agent.values[1], precision=2))
 
+    rows, _ = select_scene_elements(np.stack([s.frame for s in snippets]), table, k=3)
     f_elem = enc.encode_elements(rows, f_env)
     print("scene-element summary    ",
-          np.array_str(f_elem.values, precision=2))
+          np.array_str(f_elem.values[0], precision=2))
 
     banner("fusing the three summaries")
-    fused = enc.encode_snippet(snippet, table, k=3)
+    fused = enc.encode_event(snippets, table, k=3)
     print("snippet vector           ",
-          np.array_str(fused.values, precision=2))
+          np.array_str(fused.values[0], precision=2))
     print("\nOrder of the streams cannot matter: the mix is a")
     print("self-attention over the stacked summaries followed by a mean,")
     print("which treats the stack as a set. (The acceptance suite checks")

@@ -113,30 +113,31 @@ class VocabEmbeddingTable:
             raise ValidationError(f"{path}: {exc}") from None
 
 
-def select_scene_elements(frame: np.ndarray, table: VocabEmbeddingTable, k: int):
-    """Top-k token feature rows by cosine similarity to a frame vector.
+def select_scene_elements(frames: np.ndarray, table: VocabEmbeddingTable, k: int):
+    """Top-k token feature rows by cosine similarity to each frame vector.
 
-    The frame goes through ``w_image`` and each token row through
+    The frames go through ``w_image`` and each token row through
     ``w_text``; similarity is cosine in that shared space. Winners come
     back in descending-similarity order, ties toward the lower token
-    index. Returns ``(rows, indices)`` where ``rows`` are the raw
-    (unprojected) feature rows of the winners.
+    index. ``frames`` is one (d,) frame or an (S, d) matrix of them.
+    Returns ``(rows, indices)``: ``indices`` is (k,) or (S, k), and
+    ``rows`` holds the raw (unprojected) feature rows of the winners,
+    shaped like ``indices`` plus the feature axis.
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape != (table.d_feature,):
-        raise ShapeError(f"frame shape {frame.shape} does not match table width "
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim not in (1, 2) or frames.shape[-1] != table.d_feature:
+        raise ShapeError(f"frame shape {frames.shape} does not match table width "
                          f"{table.d_feature}")
     if not 1 <= k <= table.n_tokens:
         raise ValidationError(f"k={k} outside [1, {table.n_tokens}]")
-    q = frame @ table.w_image
+    q = frames.reshape(-1, table.d_feature) @ table.w_image
     keys = table.text_features @ table.w_text
-    qn = np.linalg.norm(q)
+    qn = np.linalg.norm(q, axis=1)
     kn = np.linalg.norm(keys, axis=1)
-    denom = np.maximum(qn * kn, 1e-12)
-    sims = (keys @ q) / denom
-    order = np.argsort(-sims, kind="stable")
-    idx = order[:k]
-    return table.text_features[idx].copy(), idx
+    denom = np.maximum(qn[:, None] * kn[None, :], 1e-12)
+    sims = (q @ keys.T) / denom
+    idx = np.argsort(-sims, axis=1, kind="stable")[:, :k].reshape(frames.shape[:-1] + (k,))
+    return table.text_features[idx], idx
 
 
 def select_and_fuse(features: Tensor, reference: Tensor, attn: SelfAttention,
@@ -191,11 +192,23 @@ def select_and_fuse(features: Tensor, reference: Tensor, attn: SelfAttention,
     return fused
 
 
-def fuse_modalities(vectors, attn: SelfAttention) -> Tensor:
-    """Mix two or more equal-width summary vectors into one via self-attention."""
-    if len(vectors) < 2:
-        raise ShapeError(f"modality fusion needs at least 2 vectors, got {len(vectors)}")
-    return T.tmean(attn(T.stack(vectors, axis=0)), axis=0)
+def fuse_modalities(parts, attn: SelfAttention) -> Tensor:
+    """Mix two or more modality summaries into one vector per snippet.
+
+    Each part is (S, d), row i belonging to snippet i. All m·S rows go
+    through one attention, masked so that a row sees only its own
+    snippet's rows, and row i of the (S, d) result is the mean of snippet
+    i's m outputs. A list of (d,) vectors is the one-snippet case and
+    gives a (d,) vector.
+    """
+    m = len(parts)
+    if m < 2:
+        raise ShapeError(f"modality fusion needs at least 2 vectors, got {m}")
+    shape = parts[0].shape
+    rows = T.concat(parts, axis=0) if len(shape) == 2 else T.stack(parts, axis=0)
+    s = rows.shape[0] // m
+    mask = None if s == 1 else np.tile(np.eye(s, dtype=bool), (m, m))
+    return T.tmean(T.reshape(attn(rows, mask), (m,) + shape), axis=0)
 
 
 class SnippetEncoder:
@@ -203,7 +216,9 @@ class SnippetEncoder:
 
     One self-attention block is shared by both selection sites and the
     modality mix; the streams are small enough that separate mixers would
-    only add parameters, not capacity.
+    only add parameters, not capacity. Nothing crosses snippets, so any
+    run of snippets (an event, or all of a video's events) is encoded in
+    one pass.
     """
 
     def __init__(self, rng: np.random.Generator, d_env: int, d_agent: int,
@@ -217,47 +232,60 @@ class SnippetEncoder:
         self.element_mlp = MLP(rng, d_element, hidden, d_emb)
         self.attn = SelfAttention(rng, d_emb)
 
-    def encode_environment(self, env: np.ndarray) -> Tensor:
-        return T.reshape(self.env_mlp(Tensor(env.reshape(1, -1))), (self.d_emb,))
+    def encode_agents(self, agents, f_env: Tensor) -> Tensor:
+        """One agent summary per snippet, (S, d_emb), from S agent matrices
+        and the (S, d_emb) environment rows.
 
-    def encode_agents(self, agents: np.ndarray, f_env: Tensor) -> Tensor:
-        if agents.shape[0] == 0:
-            return Tensor(np.zeros(self.d_emb))
-        rows = self.agent_mlp(Tensor(agents))
-        return select_and_fuse(rows, f_env, self.attn)
+        Snippets with the same agent count are selected together, one
+        grouped ``select_and_fuse`` per distinct non-zero count; a snippet
+        with no agents gets a zero row.
+        """
+        counts = np.array([a.shape[0] for a in agents])
+        if not counts.any():
+            return Tensor(np.zeros((len(agents), self.d_emb)))
+        rows = self.agent_mlp(Tensor(np.concatenate([a for a in agents if a.shape[0]])))
+        starts = np.cumsum(counts) - counts
+        pieces, order = [], []
+        for n in np.unique(counts[counts > 0]):
+            members = np.flatnonzero(counts == n)
+            picked = (starts[members][:, None] + np.arange(n)).ravel()
+            pieces.append(select_and_fuse(T.take_rows(rows, picked),
+                                          T.take_rows(f_env, members), self.attn))
+            order.append(members)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            pieces.append(Tensor(np.zeros((empty.size, self.d_emb))))
+            order.append(empty)
+        return T.take_rows(T.concat(pieces, axis=0), np.argsort(np.concatenate(order)))
 
     def encode_elements(self, element_rows: np.ndarray, f_env: Tensor) -> Tensor:
-        if element_rows.shape[0] == 0:
-            raise ShapeError("element stream needs at least one retrieved row")
-        rows = self.element_mlp(Tensor(element_rows))
+        """One scene-element summary per snippet, (S, d_emb), from the
+        (S, k, d_element) retrieved rows and the (S, d_emb) environment rows."""
+        rows = self.element_mlp(Tensor(element_rows.reshape(-1, element_rows.shape[2])))
         return select_and_fuse(rows, f_env, self.attn)
 
-    def encode_snippet(self, snippet: SnippetInput, table: VocabEmbeddingTable,
-                       k: int) -> Tensor:
-        """One vector summarizing a snippet from whichever streams are enabled.
+    def encode_event(self, snippets, table: VocabEmbeddingTable, k: int) -> Tensor:
+        """Snippet vectors for a run of snippets, shape (n_snippets, d_emb).
 
-        The environment summary is always computed because it anchors both
+        The environment rows are always computed because they anchor both
         selection sites, even when "env" itself is excluded from the mix.
         """
-        f_env = self.encode_environment(snippet.env)
+        if not snippets:
+            raise ShapeError("an event needs at least one snippet")
+        f_env = self.env_mlp(Tensor(np.stack([s.env for s in snippets])))
         parts = []
         for m in self.modalities:
             if m == "env":
                 parts.append(f_env)
             elif m == "agent":
-                parts.append(self.encode_agents(snippet.agents, f_env))
+                parts.append(self.encode_agents([s.agents for s in snippets], f_env))
             else:
-                rows, _ = select_scene_elements(snippet.frame, table, k)
+                rows, _ = select_scene_elements(np.stack([s.frame for s in snippets]),
+                                                table, k)
                 parts.append(self.encode_elements(rows, f_env))
         if len(parts) == 1:
             return parts[0]
         return fuse_modalities(parts, self.attn)
-
-    def encode_event(self, snippets, table: VocabEmbeddingTable, k: int) -> Tensor:
-        """Stack of snippet vectors for one event, shape (n_snippets, d_emb)."""
-        if not snippets:
-            raise ShapeError("an event needs at least one snippet")
-        return T.stack([self.encode_snippet(s, table, k) for s in snippets], axis=0)
 
     def params(self) -> dict:
         return collect_params([

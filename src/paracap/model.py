@@ -133,13 +133,14 @@ class CaptionModel:
     def event_tokens(self, event, vocab: Vocabulary) -> list:
         return vocab.encode(tokenize(event.caption))
 
-    def caption_embedding(self, token_ids) -> Tensor:
-        """Caption vector: mean of word embeddings through a projection head."""
-        if len(token_ids) == 0:
-            raise ValidationError("cannot embed an empty caption")
-        rows = self.caption_word_embed(token_ids)
-        row = T.tmean(rows, axis=0, keepdims=True)
-        return T.reshape(self.caption_mlp(row), (self.config.d_emb,))
+    def encode_video(self, record, table: VocabEmbeddingTable) -> list:
+        """Each event's snippet rows, from one encoder pass over all of the
+        video's snippets."""
+        rows = self.encoder.encode_event([sn for ev in record.events for sn in ev.snippets],
+                                         table, self.config.k)
+        ends = np.cumsum([len(ev.snippets) for ev in record.events])
+        return [T.take_rows(rows, np.arange(end - len(ev.snippets), end))
+                for ev, end in zip(record.events, ends)]
 
     def forward_video(self, record, table: VocabEmbeddingTable, vocab: Vocabulary,
                       memory: EventMemory = None) -> VideoForward:
@@ -151,10 +152,8 @@ class CaptionModel:
         if memory is None:
             memory = EventMemory(self.config.n_layers)
         logits_list, targets_list, summaries = [], [], []
-        for event in record.events:
+        for event, video_rows in zip(record.events, self.encode_video(record, table)):
             tokens = self.event_tokens(event, vocab)
-            video_rows = self.encoder.encode_event(event.snippets, table,
-                                                   self.config.k)
             logits, f_event = self.decoder.forward_event(
                 video_rows, [BOS_ID] + tokens, memory, update_memory=True)
             logits_list.append(logits)
@@ -164,10 +163,15 @@ class CaptionModel:
                             event_embeddings=T.stack(summaries, axis=0))
 
     def caption_embeddings(self, record, vocab: Vocabulary) -> Tensor:
+        """Caption vectors for a video's events, (events, d_emb): each the
+        mean of its caption's word embeddings through a projection head."""
         rows = []
         for event in record.events:
-            tokens = self.event_tokens(event, vocab)
-            rows.append(self.caption_embedding(tokens))
+            token_ids = self.event_tokens(event, vocab)
+            if len(token_ids) == 0:
+                raise ValidationError("cannot embed an empty caption")
+            words = T.tmean(self.caption_word_embed(token_ids), axis=0, keepdims=True)
+            rows.append(T.reshape(self.caption_mlp(words), (self.config.d_emb,)))
         return T.stack(rows, axis=0)
 
     def decode_video(self, record, table: VocabEmbeddingTable,
@@ -177,9 +181,7 @@ class CaptionModel:
         memory = EventMemory(self.config.n_layers)
         out = []
         with T.no_grad():
-            for event in record.events:
-                video_rows = self.encoder.encode_event(event.snippets, table,
-                                                       self.config.k)
+            for video_rows in self.encode_video(record, table):
                 out.append(greedy_decode(self.decoder, video_rows, memory, max_len))
         return out
 

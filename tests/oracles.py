@@ -112,6 +112,46 @@ def top_k_cosine_loop(frame, token_features, w_text, w_image, k):
     return order[:k]
 
 
+def encode_event_loop(encoder, snippets, table, k):
+    """``SnippetEncoder.encode_event`` one snippet at a time: per snippet,
+    the environment row, a one-reference selection over its agents (a zero
+    vector when it has none) and over its top-k scene elements, then one
+    unmasked attention over the stacked summaries and their mean.
+
+    Returns (the (S, d) snippet rows, each snippet's kept indices by site:
+    ``{"agent": [...], "element": [...]}``, None for a snippet with no agents).
+    """
+    out, kept = [], {"agent": [], "element": []}
+    for sn in snippets:
+        f_env = T.reshape(encoder.env_mlp(Tensor(sn.env.reshape(1, -1))), (encoder.d_emb,))
+        parts = []
+        for m in encoder.modalities:
+            if m == "env":
+                parts.append(f_env)
+            elif m == "agent":
+                if sn.agents.shape[0] == 0:
+                    parts.append(Tensor(np.zeros(encoder.d_emb)))
+                    kept["agent"].append(None)
+                    continue
+                fused, keep = select_and_fuse(encoder.agent_mlp(Tensor(sn.agents)), f_env,
+                                              encoder.attn, return_indices=True)
+                parts.append(fused)
+                kept["agent"].append(keep)
+            else:
+                idx = top_k_cosine_loop(sn.frame, table.text_features, table.w_text,
+                                        table.w_image, k)
+                fused, keep = select_and_fuse(
+                    encoder.element_mlp(Tensor(table.text_features[idx])), f_env,
+                    encoder.attn, return_indices=True)
+                parts.append(fused)
+                kept["element"].append(keep)
+        if len(parts) == 1:
+            out.append(parts[0])
+        else:
+            out.append(T.tmean(encoder.attn(T.stack(parts, axis=0)), axis=0))
+    return T.stack(out, axis=0), kept
+
+
 # ---------------------------------------------------------------------------
 # losses
 

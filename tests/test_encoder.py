@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 import oracles
+from paracap import encoder as encoder_module
 from paracap import tensor as T
 from paracap.encoder import (MODALITIES, SnippetEncoder, SnippetInput,
                              VocabEmbeddingTable, fuse_modalities,
@@ -176,6 +178,28 @@ class TestSceneElements:
             assert list(idx) == expected
             np.testing.assert_array_equal(rows, table.text_features[expected])
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_matrix_matches_per_frame_calls_ties_included(self, rng, k):
+        d = 6
+        features = rng.normal(size=(8, d))
+        features[5] = features[2]    # tokens 2 and 5 tie on every frame
+        table = VocabEmbeddingTable(tokens=[f"tok{i}" for i in range(8)],
+                                    text_features=features, w_text=np.eye(d),
+                                    w_image=np.eye(d))
+        frames = rng.normal(size=(10, d))
+        frames[3] = 0.0              # every token ties at cosine 0
+        frames[4] = features[2] + 0.01 * rng.normal(size=d)   # the tie ranks first
+        rows, idx = select_scene_elements(frames, table, k)
+        assert idx.shape == (10, k) and rows.shape == (10, k, d)
+        np.testing.assert_array_equal(idx[3], np.arange(k))
+        np.testing.assert_array_equal(idx[4], [2, 5, *idx[4, 2:]][:k])
+        for i, frame in enumerate(frames):
+            one_rows, one_idx = select_scene_elements(frame, table, k)
+            np.testing.assert_array_equal(idx[i], one_idx)
+            np.testing.assert_array_equal(rows[i], one_rows)
+            assert list(one_idx) == oracles.top_k_cosine_loop(
+                frame, features, table.w_text, table.w_image, k)
+
     def test_k_out_of_range_rejected(self, rng):
         table = self.make_table(rng)
         with pytest.raises(ValidationError):
@@ -226,28 +250,28 @@ class TestSnippetEncoder:
 
     def test_no_agents_encode_to_zero_vector(self, rng):
         enc = self.make_encoder(1)
-        out = enc.encode_agents(np.zeros((0, 4)), Tensor(np.zeros(8)))
-        np.testing.assert_array_equal(out.values, np.zeros(8))
+        out = enc.encode_agents([np.zeros((0, 4)), np.zeros((0, 0))], Tensor(np.zeros((2, 8))))
+        np.testing.assert_array_equal(out.values, np.zeros((2, 8)))
 
     def test_env_only_bypasses_fusion(self, rng):
         enc = self.make_encoder(1, modalities=("env",))
         table = self.make_table(2)
-        snippet = self.make_snippet(rng)
-        out = enc.encode_snippet(snippet, table, k=3)
-        expected = enc.encode_environment(snippet.env)
-        np.testing.assert_allclose(out.values, expected.values, atol=1e-15)
+        snippets = [self.make_snippet(rng), self.make_snippet(rng, n_agents=0)]
+        out = enc.encode_event(snippets, table, k=3)
+        expected = enc.env_mlp(Tensor(np.stack([s.env for s in snippets])))
+        np.testing.assert_array_equal(out.values, expected.values)
 
     def test_full_fusion_composes_the_three_summaries(self, rng):
         enc = self.make_encoder(1)
         table = self.make_table(2)
-        snippet = self.make_snippet(rng)
-        out = enc.encode_snippet(snippet, table, k=3)
-        f_env = enc.encode_environment(snippet.env)
-        f_agent = enc.encode_agents(snippet.agents, f_env)
-        rows, _ = select_scene_elements(snippet.frame, table, 3)
+        snippets = [self.make_snippet(rng), self.make_snippet(rng, n_agents=3)]
+        out = enc.encode_event(snippets, table, k=3)
+        f_env = enc.env_mlp(Tensor(np.stack([s.env for s in snippets])))
+        f_agent = enc.encode_agents([s.agents for s in snippets], f_env)
+        rows, _ = select_scene_elements(np.stack([s.frame for s in snippets]), table, 3)
         f_ling = enc.encode_elements(rows, f_env)
         expected = fuse_modalities([f_env, f_agent, f_ling], enc.attn)
-        np.testing.assert_allclose(out.values, expected.values, atol=1e-12)
+        np.testing.assert_array_equal(out.values, expected.values)
 
     def test_empty_agent_matrix_fuses_a_zero_row(self, rng):
         enc = self.make_encoder(1)
@@ -255,13 +279,12 @@ class TestSnippetEncoder:
         snippet = SnippetInput(env=rng.normal(size=5),
                                agents=np.zeros((0, 4)),
                                frame=rng.normal(size=6))
-        out = enc.encode_snippet(snippet, table, k=3)
-        f_env = enc.encode_environment(snippet.env)
+        out = enc.encode_event([snippet], table, k=3)
+        f_env = enc.env_mlp(Tensor(snippet.env[None, :]))
         rows, _ = select_scene_elements(snippet.frame, table, 3)
-        f_ling = enc.encode_elements(rows, f_env)
-        expected = fuse_modalities([f_env, Tensor(np.zeros(8)), f_ling],
-                                   enc.attn)
-        np.testing.assert_allclose(out.values, expected.values, atol=1e-12)
+        f_ling = enc.encode_elements(rows[None], f_env)
+        expected = fuse_modalities([f_env, Tensor(np.zeros((1, 8))), f_ling], enc.attn)
+        np.testing.assert_array_equal(out.values, expected.values)
 
     def test_event_rows_are_per_snippet(self, rng):
         enc = self.make_encoder(1)
@@ -270,13 +293,175 @@ class TestSnippetEncoder:
         s2 = self.make_snippet(rng, n_agents=1)
         rows = enc.encode_event([s1, s2, s1], table, k=3)
         assert rows.shape == (3, 8)
-        np.testing.assert_array_equal(rows.values[0], rows.values[2])
-        one = enc.encode_snippet(s2, table, k=3)
-        np.testing.assert_allclose(rows.values[1], one.values, atol=1e-15)
+        np.testing.assert_allclose(rows.values[0], rows.values[2], rtol=1e-12, atol=0)
+        one = enc.encode_event([s2], table, k=3)
+        np.testing.assert_allclose(rows.values[1], one.values[0], rtol=1e-12, atol=0)
 
     def test_all_modalities_disabled_rejected(self):
         with pytest.raises(ValidationError, match="one or more distinct names"):
             ModelConfig(d_env=5, d_agent=4, d_frame=6, vocab_size=8, modalities=())
+
+
+def modality_subsets():
+    return [mods for r in (1, 2, 3) for mods in itertools.combinations(MODALITIES, r)]
+
+
+class TestBatchedEncoder:
+    """``encode_event`` over S snippets against the per-snippet loop,
+    ``oracles.encode_event_loop``."""
+
+    D_AGENT, N_TOKENS = 4, 8
+
+    @classmethod
+    def build(cls, seed, modalities=MODALITIES):
+        gen = np.random.default_rng(seed)
+        enc = SnippetEncoder(gen, 5, cls.D_AGENT, 6, 8, 2, modalities)
+        # move off the near-zero init so selection keeps varied subsets
+        for p in enc.params().values():
+            p.values = p.values + gen.normal(0.0, 0.4, size=p.shape)
+        table = VocabEmbeddingTable(tokens=[f"tok{i}" for i in range(cls.N_TOKENS)],
+                                    text_features=gen.normal(size=(cls.N_TOKENS, 6)),
+                                    w_text=gen.normal(size=(6, 6)),
+                                    w_image=gen.normal(size=(6, 6)))
+        return enc, table, gen
+
+    @classmethod
+    def snippets(cls, gen, counts, reloaded=False):
+        """One snippet per agent count; with ``reloaded``, a snippet without
+        agents carries the (0, 0) matrix a manifest reload gives it."""
+        empty = np.zeros((0, 0)) if reloaded else np.zeros((0, cls.D_AGENT))
+        return [SnippetInput(env=gen.normal(size=5),
+                             agents=gen.normal(size=(c, cls.D_AGENT)) if c else empty,
+                             frame=gen.normal(size=6)) for c in counts]
+
+    @staticmethod
+    def traced_kept(monkeypatch, enc, snippets, table, k):
+        """Run ``encode_event``, recording each ``select_and_fuse`` call's
+        site, rows per group and kept indices."""
+        calls, site = [], []
+        original = encoder_module.select_and_fuse
+
+        def recording(features, reference, attn):
+            fused, keep = original(features, reference, attn, return_indices=True)
+            g = reference.shape[0] if reference.ndim == 2 else 1
+            calls.append((site[-1], features.shape[0] // g, keep))
+            return fused
+
+        def in_site(name, method):
+            def wrapped(*args):
+                site.append(name)
+                try:
+                    return method(*args)
+                finally:
+                    site.pop()
+            return wrapped
+
+        monkeypatch.setattr(encoder_module, "select_and_fuse", recording)
+        monkeypatch.setattr(enc, "encode_agents", in_site("agent", enc.encode_agents))
+        monkeypatch.setattr(enc, "encode_elements", in_site("element", enc.encode_elements))
+        out = enc.encode_event(snippets, table, k)
+        monkeypatch.undo()
+        return out, calls
+
+    @staticmethod
+    def per_snippet(calls, counts, k):
+        """Map the recorded grouped calls back to each snippet's kept rows:
+        agent groups come in ascending count order, members in snippet order."""
+        kept = {"agent": [None] * len(counts), "element": [None] * len(counts)}
+        agent_groups = iter(np.unique([c for c in counts if c]))
+        for site, n, keep in calls:
+            if site == "agent":
+                members = np.flatnonzero(np.asarray(counts) == next(agent_groups))
+            else:
+                members = np.arange(len(counts))
+                assert n == k
+            for j, member in enumerate(members):
+                kept[site][member] = keep[keep // n == j] % n
+        return kept
+
+    def check(self, monkeypatch, enc, table, snippets, k, exact=False):
+        """Values, every parameter's gradient and the kept indices at both
+        sites against the loop: within 1e-12 relative, or bitwise."""
+        counts = [s.agents.shape[0] for s in snippets]
+        params = enc.params()
+        weights = Tensor(np.random.default_rng(99).normal(size=(len(snippets), enc.d_emb)))
+        out, calls = self.traced_kept(monkeypatch, enc, snippets, table, k)
+        T.backward(T.tsum(out * weights))
+        got = {name: p.grad for name, p in params.items()}
+        T.zero_grads(params.values())
+        want, want_kept = oracles.encode_event_loop(enc, snippets, table, k)
+        T.backward(T.tsum(want * weights))
+        pairs = [("values", out.values, want.values)]
+        pairs += [(name, got[name], p.grad) for name, p in params.items()]
+        T.zero_grads(params.values())
+        for name, a, b in pairs:
+            if b is None:
+                assert a is None, name
+            elif exact:
+                np.testing.assert_array_equal(a, b, err_msg=name)
+            else:
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max(),
+                                           err_msg=name)
+        kept = self.per_snippet(calls, counts, k)
+        for site in ("agent", "element"):
+            want_site = want_kept[site] or [None] * len(snippets)   # [] when off
+            for got_keep, want_keep in zip(kept[site], want_site):
+                if want_keep is None:
+                    assert got_keep is None
+                else:
+                    np.testing.assert_array_equal(got_keep, want_keep)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_agent_counts_match_the_loop(self, monkeypatch, seed):
+        enc, table, gen = self.build(seed)
+        self.check(monkeypatch, enc, table, self.snippets(gen, [1, 2, 0, 3, 2, 0, 1, 3]), 3)
+
+    @pytest.mark.parametrize("reloaded", [False, True], ids=["0-by-d_agent", "0-by-0"])
+    def test_all_empty_agents_match_the_loop(self, monkeypatch, reloaded):
+        enc, table, gen = self.build(3)
+        self.check(monkeypatch, enc, table, self.snippets(gen, [0, 0, 0], reloaded), 3)
+
+    def test_reloaded_empty_agents_match_the_loop(self, monkeypatch):
+        enc, table, gen = self.build(4)
+        snippets = self.snippets(gen, [2, 0, 1, 0, 3], reloaded=True)
+        assert snippets[1].agents.shape == (0, 0)
+        self.check(monkeypatch, enc, table, snippets, 3)
+
+    @pytest.mark.parametrize("modalities", modality_subsets(), ids="+".join)
+    def test_every_modality_subset_matches_the_loop(self, monkeypatch, modalities):
+        enc, table, gen = self.build(5, modalities)
+        self.check(monkeypatch, enc, table, self.snippets(gen, [1, 0, 3, 2, 1]), 3)
+
+    @pytest.mark.parametrize("k", range(1, N_TOKENS + 1))
+    def test_every_k_matches_the_loop(self, monkeypatch, k):
+        enc, table, gen = self.build(6)
+        self.check(monkeypatch, enc, table, self.snippets(gen, [3, 1, 0, 2]), k)
+
+    @pytest.mark.parametrize("modalities", modality_subsets(), ids="+".join)
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_one_snippet_is_bitwise_the_loop(self, monkeypatch, modalities, count):
+        enc, table, gen = self.build(7, modalities)
+        self.check(monkeypatch, enc, table, self.snippets(gen, [count]), 3, exact=True)
+
+    @staticmethod
+    def node_count(enc, table, snippets):
+        return len(T.toposort(enc.encode_event(snippets, table, 3)))
+
+    @pytest.mark.parametrize("counts", [[2], [0], [1, 2, 0, 3], [3, 3, 0]])
+    def test_tape_does_not_grow_with_the_snippet_count(self, counts):
+        """Every distinct agent count appears at least twice in both calls,
+        so each selection runs grouped in both and only S differs."""
+        enc, table, gen = self.build(8)
+        small = self.node_count(enc, table, self.snippets(gen, counts * 2))
+        large = self.node_count(enc, table, self.snippets(gen, counts * 10))
+        assert small == large
+
+    def test_tape_grows_with_the_distinct_agent_counts(self):
+        enc, table, gen = self.build(8)
+        sizes = [self.node_count(enc, table, self.snippets(gen, list((1, 2, 3)[:n]) * 4))
+                 for n in (1, 2, 3)]
+        assert sizes[0] < sizes[1] < sizes[2]
+        assert sizes[2] - sizes[1] == sizes[1] - sizes[0]
 
 
 class TestEmbeddingTable:

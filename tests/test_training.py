@@ -297,6 +297,36 @@ class TestBatchLoss:
         assert float(with_con[0].values) == float(cap.values) + float(with_con[2].values)
 
 
+class TestVideoPasses:
+    """A video's snippets go through the encoder in one pass, split per event."""
+
+    @pytest.fixture
+    def world(self):
+        corpus, vocab, model = build_setup(
+            seed=1, spec_overrides=dict(events_per_video=4, snippets_per_event=3))
+        rec = corpus.train[0]
+        rng = np.random.default_rng(5)
+        for p in model.named_params().values():
+            p.values = p.values + rng.normal(0.0, 0.3, size=p.shape)
+        return corpus, vocab, model, rec
+
+    def test_empty_caption_rejected(self, world):
+        _, vocab, model, rec = world
+        rec.events[2].caption = ""
+        with pytest.raises(ValidationError, match="empty caption"):
+            model.caption_embeddings(rec, vocab)
+
+    def test_video_rows_match_encoding_each_event(self, world):
+        corpus, _, model, rec = world
+        rows = model.encode_video(rec, corpus.table)
+        assert len(rows) == len(rec.events)
+        for event, got in zip(rec.events, rows):
+            want = model.encoder.encode_event(event.snippets, corpus.table, model.config.k)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got.values, want.values, rtol=0,
+                                       atol=1e-12 * np.abs(want.values).max())
+
+
 class TestEvaluation:
     def test_decode_pairs_reference_is_the_tokenized_caption(self):
         corpus, vocab, model = build_setup(model_overrides={"max_len": 4})
