@@ -61,17 +61,20 @@ def main():
     print(f"finite-difference relative error: {err:.2e}")
 
     banner("gradients respect hard masking exactly")
-    q = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    k = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    wq = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    wk = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    zero = Tensor(np.zeros(3))
     allowed = np.tril(np.ones((3, 3), dtype=bool))       # causal pattern
-    # identity values make the output the attention probabilities themselves
-    probs = T.attention(q, k, Tensor(np.eye(3)), allowed)
+    # identity rows make q and k the weights themselves, and identity
+    # values make the output the attention probabilities
+    head = [(wq, zero, wk, zero, Tensor(np.eye(3)), zero)]
+    probs = T.attention_heads(Tensor(np.eye(3)), head, allowed, {})
     first_two = Tensor(np.array([[1.0], [1.0], [0.0]]))  # the loss reads rows 0-1
     T.backward(T.tsum(probs * probs * first_two))
     print("attention probabilities (upper triangle masked):")
     print(np.array_str(probs.values, precision=4, suppress_small=True))
     print("the last key, masked for rows 0-1, receives exactly zero gradient:",
-          bool((k.grad[2] == 0).all()))
+          bool((wk.grad[2] == 0).all()))
 
     banner("the package-wide primitive check")
     from paracap.gradcheck import N_SEEDS, run_primitive_checks

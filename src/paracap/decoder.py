@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import BOS_ID, EOS_ID
-from .encoder import select_and_fuse
+from .encoder import fuse_modalities, select_and_fuse
 from .errors import ShapeError, ValidationError
 from .nn import MLP, Embedding, Linear, LayerNorm, MaskedMultiHeadAttention, SelfAttention, collect_params
 from .tensor import Tensor
@@ -115,18 +115,14 @@ class DecoderLayer:
         position, with the current state as reference, and fuse the
         survivors into a readout; then mix readout and state through the
         same attention block and average the pair. All positions run as one
-        pass: one grouped ``select_and_fuse`` and one pair attention, masked
-        so that each pair sees only itself. Stored rows are constants, so
-        only this layer's mixing weights and ``h_bar`` receive gradient
-        from the readout path.
+        pass: one grouped ``select_and_fuse`` and one ``fuse_modalities``
+        over the (state, readout) pairs, masked so that each pair sees only
+        itself. Stored rows are constants, so only this layer's mixing
+        weights and ``h_bar`` receive gradient from the readout path.
         """
-        s, d = h_bar.shape
-        past = Tensor(memory.rows_block(layer_index, start, s))
+        past = Tensor(memory.rows_block(layer_index, start, h_bar.shape[0]))
         z = select_and_fuse(past, Tensor(h_bar.values), self.mem_attn)
-        pair = T.concat([h_bar, z])   # rows p and s + p form pair p
-        mask = None if s == 1 else np.tile(np.eye(s, dtype=bool), (2, 2))
-        mixed = T.tmean(T.reshape(self.mem_attn(pair, mask), (2, s, d)), axis=0)
-        return self.mem_mlp(mixed) + h_bar
+        return self.mem_mlp(fuse_modalities([h_bar, z], self.mem_attn)) + h_bar
 
     def params(self) -> dict:
         return collect_params([

@@ -193,17 +193,18 @@ def select_and_fuse(features: Tensor, reference: Tensor, attn: SelfAttention,
 
 
 def fuse_modalities(parts, attn: SelfAttention) -> Tensor:
-    """Mix two or more modality summaries into one vector per snippet.
+    """Mix two or more parts (modality summaries, or a state and its
+    memory readout) into one vector per row.
 
-    Each part is (S, d), row i belonging to snippet i. All m·S rows go
+    Each part is (S, d), row i belonging to group i. All m·S rows go
     through one attention, masked so that a row sees only its own
-    snippet's rows, and row i of the (S, d) result is the mean of snippet
-    i's m outputs. A list of (d,) vectors is the one-snippet case and
+    group's rows, and row i of the (S, d) result is the mean of group
+    i's m outputs. A list of (d,) vectors is the one-row case and
     gives a (d,) vector.
     """
     m = len(parts)
     if m < 2:
-        raise ShapeError(f"modality fusion needs at least 2 vectors, got {m}")
+        raise ShapeError(f"fusion needs at least 2 parts, got {m}")
     shape = parts[0].shape
     rows = T.concat(parts, axis=0) if len(shape) == 2 else T.stack(parts, axis=0)
     s = rows.shape[0] // m

@@ -150,20 +150,6 @@ def _primitive_cases():
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         return lambda x: T.tsum(T.gelu(x) * w), x
 
-    def case_attention(rng):
-        # x stands in for q, then k, then v; the causal mask leaves rows 0-2
-        # partly masked, and the last call runs unmasked
-        q, k, v = (Tensor(rng.normal(size=(4, 3))) for _ in range(3))
-        w = _weights(rng, (4, 3))
-        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        mask = np.tril(np.ones((4, 4), dtype=bool))
-
-        def f(x):
-            return (T.tsum(T.attention(x, k, v, mask) * w)
-                    + T.tsum(T.attention(q, x, v, mask) * w)
-                    + T.tsum(T.attention(q, k, x) * w))
-        return f, x
-
     def case_attention_heads(rng):
         # x stands in for the input rows, then for head 1's wq, then (as a
         # vector) for head 0's bv; the first two calls run under a causal
@@ -217,10 +203,9 @@ def _primitive_cases():
         x = Tensor(rng.uniform(0.5, 1.5, size=(4,)), requires_grad=True)
         return lambda x: T.tsum(T.layer_norm(h, x, bias) * w), x
 
-    # a case draws its inputs from its list position, so the attention cases
-    # go after the sorted ones, in the order they were added, and leave the
-    # earlier cases' inputs as they were
-    late = [("attention", case_attention), ("attention_heads", case_attention_heads)]
+    # a case draws its inputs from its list position, so the attention case
+    # goes after the sorted ones and leaves the earlier cases' inputs as they were
+    late = [("attention_heads", case_attention_heads)]
     cases = [(name[5:], fn) for name, fn in sorted(locals().items())
              if name.startswith("case_") and (name[5:], fn) not in late]
     return cases + late

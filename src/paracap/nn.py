@@ -67,18 +67,20 @@ class SelfAttention:
     Bare projections only: no biases and no output map. This is the small
     mixing block used to fuse a handful of vectors (selected feature rows,
     per-modality summaries, memory readouts), where a full transformer
-    block would be overweight.
+    block would be overweight. It runs as a one-head ``T.attention_heads``
+    whose biases are a constant zero vector.
     """
 
     def __init__(self, rng: np.random.Generator, d: int):
         self.wq = _init(rng, (d, d))
         self.wk = _init(rng, (d, d))
         self.wv = _init(rng, (d, d))
+        self.zero = Tensor(np.zeros(d))
 
     def __call__(self, x: Tensor, mask=None) -> Tensor:
-        """Attend among the rows of ``x``; ``mask`` as in ``T.attention``."""
-        return T.attention(T.matmul(x, self.wq), T.matmul(x, self.wk),
-                           T.matmul(x, self.wv), mask)
+        """Attend among the rows of ``x``; ``mask`` as in ``T.attention_heads``."""
+        z = self.zero
+        return T.attention_heads(x, [(self.wq, z, self.wk, z, self.wv, z)], mask, {})
 
     def params(self) -> dict:
         return {"wq": self.wq, "wk": self.wk, "wv": self.wv}

@@ -6,11 +6,10 @@ the output, so the graph reachable from a scalar is a ready-made dynamic
 tape: :func:`backward` walks it once in reverse topological order and
 accumulates exact analytic gradients into every ``requires_grad`` leaf.
 
-Everything runs eagerly in float64. The two fused ops, :func:`attention`
-and :func:`attention_heads`, repeat the numpy calls of the primitives they
-stand for; there is no graph compilation and no hidden precision loss,
-which keeps central-difference verification (:func:`finite_diff_check`)
-meaningful down to ~1e-9.
+Everything runs eagerly in float64. The one fused op, :func:`attention_heads`,
+repeats the numpy calls of the primitives it stands for; there is no graph
+compilation and no hidden precision loss, which keeps central-difference
+verification (:func:`finite_diff_check`) meaningful down to ~1e-9.
 
 Forward and backward are bit-deterministic for a fixed graph: traversal
 order depends only on graph structure, and gradient accumulation happens
@@ -535,43 +534,15 @@ def _attend_grads(g, q, kt, v, p):
     return gs @ kt.transpose(0, 2, 1), (q.transpose(0, 2, 1) @ gs).transpose(0, 2, 1), gv
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
-    """Scaled dot-product attention, ``softmax(q k^T / sqrt(d) [+ bias]) v``, as one node.
-
-    ``d`` is the width of q and k. ``mask`` is an optional boolean (rows
-    of q, rows of k) matrix; a False entry adds -1e9 to its score before
-    the row softmax. Forward and
-    backward run the same numpy calls, in the same order, as the
-    matmul / transpose / mul / add / softmax composition they replace, so
-    values and gradients are bitwise equal to it.
-    """
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError(f"attention needs matrices, got {q.shape}, {k.shape}, {v.shape}")
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
-        raise ShapeError(f"attention extents differ: q {q.shape}, k {k.shape}, v {v.shape}")
-    if mask is not None and np.shape(mask) != (q.shape[0], k.shape[0]):
-        raise ShapeError(f"mask shape {np.shape(mask)} does not match "
-                         f"{q.shape[0]} queries and {k.shape[0]} keys")
-    kt = k.values.T.copy()[None]
-    p, out = _attend(q.values[None], kt, v.values[None], mask)
-
-    def bw(g, q=q, k=k, v=v, kt=kt, p=p):
-        gq, gk, gv = _attend_grads(g[None], q.values[None], kt, v.values[None], p)
-        _accum(q, gq[0])
-        _accum(k, gk[0])
-        _accum(v, gv[0])
-
-    return _make(out[0], "attention", (q, k, v), bw)
-
-
 def attention_heads(x: Tensor, projections, mask, cache: dict) -> Tensor:
     """Multi-head self-attention over the rows of ``x``, without the output
     map, as one node: the heads' outputs side by side, (rows, heads * e).
 
     ``projections`` lists each head's ``(wq, bq, wk, bk, wv, bv)``; head
     h's queries, keys and values are ``x @ w + b`` with its own weights,
-    and it attends as ``attention`` does, under ``mask``. ``cache`` (a
+    and it computes ``softmax(q k^T / sqrt(e)) v`` with ``e`` its key width.
+    ``mask`` is None or a boolean (rows, keys) matrix; a False entry adds
+    -1e9 to its score before the row softmax. ``cache`` (a
     dict, empty before the first call) holds every head's keys and values
     of the rows passed in earlier calls; the rows of ``x`` attend to those
     first and then join them. A non-empty cache is refused while the tape

@@ -60,7 +60,7 @@ def attention_composed(q, k, v, mask=None):
 
 def masked_multi_head_loop(block, x, mask, cache):
     """``MaskedMultiHeadAttention`` as a per-head loop of tape primitives:
-    three ``Linear``s and one ``T.attention`` per head, the head concat,
+    three ``Linear``s and one ``attention_composed`` per head, the head concat,
     then ``wo``. ``cache`` maps each head to its (keys, values) tensors."""
     heads = []
     for h in range(block.n_heads):
@@ -68,7 +68,7 @@ def masked_multi_head_loop(block, x, mask, cache):
         if h in cache:
             k, v = T.concat([cache[h][0], k]), T.concat([cache[h][1], v])
         cache[h] = (k, v)
-        heads.append(T.attention(block.wq[h](x), k, v, mask))
+        heads.append(attention_composed(block.wq[h](x), k, v, mask))
     return block.wo(T.concat(heads, axis=1))
 
 

@@ -9,7 +9,7 @@ import oracles
 from paracap import gradcheck
 from paracap import tensor as T
 from paracap.errors import NumericalError, ShapeError
-from paracap.nn import MaskedMultiHeadAttention
+from paracap.nn import MaskedMultiHeadAttention, SelfAttention
 from paracap.tensor import Tensor
 
 
@@ -107,14 +107,19 @@ class TestForwardValues:
         expected = x * 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
         np.testing.assert_allclose(out.values, expected, atol=1e-15)
 
-    def test_attention_bias_values(self):
+    def test_attention_bias_values(self, rng):
         # the mask adds exactly 0 to kept scores and -1e9 to masked ones:
         # row 0's masked raw score 1e9 lands on 0 and ties with its neighbour,
         # while row 1 keeps it and puts all its weight on key 1
         mask = np.array([[True, False], [True, True]])
-        q, k = Tensor(np.ones((2, 1))), Tensor(np.array([[0.0], [1e9]]))
-        out = T.attention(q, k, Tensor(np.eye(2)), mask)
-        np.testing.assert_array_equal(out.values, [[0.5, 0.5], [0.0, 1.0]])
+        attn = SelfAttention(rng, 4)
+        attn.wq.values = np.zeros((4, 4))
+        attn.wq.values[:2, 0] = 1.0
+        attn.wk.values = np.zeros((4, 4))
+        attn.wk.values[1, 0] = 2e9       # times the 1/sqrt(4) scale: a raw score of 1e9
+        attn.wv.values = np.eye(4)
+        out = attn(Tensor(np.eye(4)[:2]), mask)
+        np.testing.assert_array_equal(out.values, [[0.5, 0.5, 0, 0], [0.0, 1.0, 0, 0]])
 
 
 class TestBackward:
@@ -148,39 +153,59 @@ class TestBackward:
         np.testing.assert_array_equal(b.grad, np.full(4, 3.0))
 
     def test_masked_attention_ignores_masked_content(self, rng):
-        # causal mask: row 1 sees keys 0-1, so key 2 is masked for it
+        # causal mask: row 1 sees keys 0-1, so key 2 is masked for it; with
+        # identity rows and zero biases each head's q, k and v are its weights
         mask = np.tril(np.ones((3, 3), dtype=bool))
         row1 = Tensor(np.array([[0.0], [1.0], [0.0]]))
-        q, k, v = (leaf(rng.normal(size=(3, 4))) for _ in range(3))
-        out = T.attention(q, k, v, mask)
+        zero = Tensor(np.zeros(4))
+        wq, wk, wv = (leaf(rng.normal(size=(3, 4))) for _ in range(3))
+        out = T.attention_heads(Tensor(np.eye(3)), [(wq, zero, wk, zero, wv, zero)], mask, {})
         T.backward(T.tsum(out * row1))
-        k2 = k.values.copy()
+        k2 = wk.values.copy()
         k2[2] += 100.0   # moves the masked score (1, 2)
-        out2 = T.attention(Tensor(q.values), Tensor(k2), Tensor(v.values), mask)
+        moved = [(Tensor(wq.values), zero, Tensor(k2), zero, Tensor(wv.values), zero)]
+        out2 = T.attention_heads(Tensor(np.eye(3)), moved, mask, {})
         np.testing.assert_array_equal(out.values[1], out2.values[1])
-        assert (k.grad[2] == 0.0).all() and (v.grad[2] == 0.0).all()
-        assert (k.grad[:2] != 0.0).any() and (v.grad[:2] != 0.0).any()
+        assert (wk.grad[2] == 0.0).all() and (wv.grad[2] == 0.0).all()
+        assert (wk.grad[:2] != 0.0).any() and (wv.grad[:2] != 0.0).any()
 
 
 class TestAttention:
+    """``SelfAttention``, a one-head ``T.attention_heads`` with zero biases."""
+
     @pytest.mark.parametrize("masked", [False, True])
     def test_matches_the_composed_oracle_bitwise(self, rng, masked):
-        mask = np.tril(np.ones((4, 5), dtype=bool), k=1) if masked else None
-        w = rng.normal(size=(4, 3))
-        draws = [rng.normal(size=shape) for shape in ((4, 6), (5, 6), (5, 3))]
-        results = []
-        for attend in (T.attention, oracles.attention_composed):
-            q, k, v = (leaf(d) for d in draws)
-            out = attend(q, k, v, mask)
-            T.backward(T.tsum(out * Tensor(w)))
-            results.append((out.values, q.grad, k.grad, v.grad))
-        for fused, composed in zip(*results):
-            np.testing.assert_array_equal(fused, composed)
+        attn = SelfAttention(rng, 6)
+        for p in attn.params().values():
+            p.values = rng.normal(0.0, 0.3, size=p.shape)
+        mask = np.tril(np.ones((5, 5), dtype=bool), k=1) if masked else None
+        x_values = rng.normal(size=(5, 6))
+        w = Tensor(rng.normal(size=(5, 6)))
 
-    def test_rejects_nan_scores(self):
-        q = Tensor(np.array([[np.nan, 0.0]]))
+        def composed(x, mask):
+            return oracles.attention_composed(x @ attn.wq, x @ attn.wk, x @ attn.wv, mask)
+
+        results = []
+        for attend in (attn, composed):
+            x = leaf(x_values)
+            T.zero_grads(attn.params().values())
+            out = attend(x, mask)
+            T.backward(T.tsum(out * w))
+            results.append((out.values, x.grad, attn.wq.grad, attn.wk.grad, attn.wv.grad))
+        for fused, composed_result in zip(*results):
+            np.testing.assert_array_equal(fused, composed_result)
+
+    def test_rejects_nan_scores(self, rng):
         with pytest.raises(NumericalError):
-            T.attention(q, Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
+            SelfAttention(rng, 2)(Tensor(np.array([[np.nan, 0.0], [1.0, 1.0]])))
+
+    def test_one_call_records_one_node(self, rng):
+        attn = SelfAttention(rng, 4)
+        out = attn(leaf(rng.normal(size=(3, 4))), np.tril(np.ones((3, 3), dtype=bool)))
+        assert [node.op for node in T.toposort(out) if node.op != "leaf"] == ["attention_heads"]
+        T.backward(T.tsum(out))
+        assert not attn.zero.requires_grad and attn.zero.grad is None
+        assert sorted(attn.params()) == ["wk", "wq", "wv"]
 
 
 def jittered_block(rng, d, n_heads):
