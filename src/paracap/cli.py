@@ -5,8 +5,8 @@ decode, and verify gradients. Every run is reproducible from its config
 file and seed, and each command echoes the effective configuration into
 ``run_config.json`` in its output directory.
 
-Exit codes: 0 success, 1 usage or missing file, 2 validation failure,
-3 numerical failure.
+Exit codes: 0 success, 1 usage, missing file or other file-system error,
+2 validation failure, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -133,8 +133,9 @@ def _load_eval_inputs(args):
     is made; the run's ``run_config.json`` echoes them.
     """
     model, vocab_tokens = CaptionModel.load_checkpoint(args.checkpoint)
-    if not isinstance(vocab_tokens, list):
-        raise ValidationError(f"{args.checkpoint}: checkpoint carries no vocabulary list")
+    if not isinstance(vocab_tokens, list) or not all(type(t) is str for t in vocab_tokens):
+        raise ValidationError(f"{args.checkpoint}: checkpoint carries no vocabulary list "
+                              "(config.vocab_tokens must be a list of strings)")
     vocab = Vocabulary(vocab_tokens[len(RESERVED):])
     if vocab.id_to_token != list(vocab_tokens):
         raise ValidationError(f"{args.checkpoint}: stored vocabulary is not in "
@@ -228,9 +229,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        name = getattr(exc, "filename", None) or exc
-        print(f"error: file not found: {name}", file=sys.stderr)
+    except OSError as exc:   # a missing file, a directory given as a file, or the reverse
+        reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"error: {reason}: {exc.filename or exc}", file=sys.stderr)
         return 1
     except (ValidationError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

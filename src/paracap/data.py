@@ -246,12 +246,15 @@ def _check_snippet(snippet: SnippetInput, widths: dict):
 def load_manifest(path: str) -> list:
     records = []
     widths = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{where}: not UTF-8 text ({exc})") from None
             if not line:
                 continue
-            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:

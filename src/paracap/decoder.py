@@ -30,35 +30,27 @@ def causal_join_mask(n_video: int, n_text: int) -> np.ndarray:
     video row and text rows up to and including itself.
     """
     s = n_video + n_text
-    mask = np.zeros((s, s), dtype=bool)
-    mask[:n_video, :n_video] = True
-    mask[n_video:, :n_video] = True
-    for j in range(n_text):
-        mask[n_video + j, n_video:n_video + j + 1] = True
+    mask = np.tril(np.ones((s, s), dtype=bool))
+    mask[:, :n_video] = True
     return mask
 
 
-def _pad_to(rows: np.ndarray, n: int) -> np.ndarray:
-    """``rows`` with its last position repeated until there are ``n``."""
-    return np.concatenate([rows, np.repeat(rows[-1:], n - rows.shape[0], axis=0)])
-
-
 class EventMemory:
-    """Per-layer stores of detached hidden states from completed events.
+    """Per-layer detached hidden states of completed events.
 
-    A layer's store is one (positions, events, d) array. An event shorter
-    than the longest repeats its final row, so captions of different
-    lengths still line up.
+    Each event is stored as it came: one (s, d) array per layer. A read
+    past an event's last position gets that last row, so captions of
+    different lengths still line up.
     """
 
     def __init__(self, n_layers: int):
         if n_layers < 1:
             raise ValidationError(f"memory needs n_layers >= 1, got {n_layers}")
         self.n_layers = n_layers
-        self._rows = [None] * n_layers
+        self._events = []
 
     def __len__(self) -> int:
-        return 0 if self._rows[0] is None else self._rows[0].shape[1]
+        return len(self._events)
 
     def append(self, layer_states):
         """Store one completed event; ``layer_states`` holds one (s, d) tensor per layer."""
@@ -67,15 +59,7 @@ class EventMemory:
         for h in layer_states:
             if h.ndim != 2 or h.shape[0] == 0:
                 raise ShapeError(f"memory entries must be non-empty matrices, got shape {h.shape}")
-        stores = []
-        for rows, h in zip(self._rows, layer_states):
-            event = h.values[:, None, :]
-            if rows is None:
-                stores.append(event.copy())
-            else:
-                n = max(rows.shape[0], event.shape[0])
-                stores.append(np.concatenate([_pad_to(rows, n), _pad_to(event, n)], axis=1))
-        self._rows = stores
+        self._events.append([h.values.copy() for h in layer_states])
 
     def rows_block(self, layer: int, start: int, s: int) -> np.ndarray:
         """Rows ``start`` to ``start + s - 1`` of every stored event at one
@@ -84,9 +68,10 @@ class EventMemory:
 
         An event shorter than a position offers its final row there.
         """
-        rows = self._rows[layer]
-        positions = np.minimum(np.arange(start, start + s), rows.shape[0] - 1)
-        return rows[positions].reshape(s * rows.shape[1], rows.shape[2])
+        positions = np.arange(start, start + s)
+        rows = np.concatenate([event[layer].take(positions, axis=0, mode="clip")
+                               for event in self._events], axis=1)   # (s, n_events * d)
+        return rows.reshape(s * len(self._events), -1)
 
 
 class DecoderLayer:

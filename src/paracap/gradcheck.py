@@ -264,11 +264,10 @@ class _FrozenMemory(EventMemory):
 
     def __init__(self, base: EventMemory):
         super().__init__(base.n_layers)
-        self._stored = base._rows
+        self._stored = base._events
 
     def append(self, layer_states):
-        n = len(self) + 1
-        self._rows = [rows[:, :n] for rows in self._stored]
+        self._events = self._stored[:len(self) + 1]
 
 
 def run_end_to_end_check(seed: int = SEED) -> dict:

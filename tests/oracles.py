@@ -250,6 +250,21 @@ def greedy_decode_full(decoder, video_rows, memory, max_len):
     return out, rows
 
 
+def padded_rows_block(events, layer, start, s):
+    """``EventMemory.rows_block`` over the padded store: every event's rows
+    at ``layer`` padded with its last row to the longest event, stacked as
+    one (positions, events, d) array, positions clamped to the longest
+    event, and one gather. ``events`` holds each event's per-layer (s, d)
+    arrays in the order they were stored.
+    """
+    layers = [event[layer] for event in events]
+    n = max(rows.shape[0] for rows in layers)
+    store = np.stack([np.concatenate([rows, np.repeat(rows[-1:], n - rows.shape[0], axis=0)])
+                      for rows in layers], axis=1)
+    positions = np.minimum(np.arange(start, start + s), n - 1)
+    return store[positions].reshape(s * len(layers), store.shape[2])
+
+
 def read_memory_loop(layer, h_bar, memory, layer_index, start):
     """``DecoderLayer.read_memory`` one position at a time: per row, a
     one-reference selection over the stored events' rows at that position,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from paracap import gradcheck
 from paracap.cli import build_parser, main
-from paracap.data import SyntheticWorldSpec, load_manifest, tokenize
+from paracap.data import RESERVED, SyntheticWorldSpec, load_manifest, tokenize
 from paracap.losses import LossConfig
 from paracap.model import ModelConfig
 from paracap.training import TrainConfig
@@ -651,6 +651,76 @@ class TestUsage:
                      "--out", str(out)]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestFileSystemBoundary:
+    """A path of the wrong kind exits 1 naming the path and the system
+    message; input that is not UTF-8 or not the documented type exits 2.
+    Neither ends in a traceback or writes output."""
+
+    def train_args(self, data_dir, out, **paths):
+        args = {"--manifest": str(data_dir / "train.jsonl"),
+                "--table": str(data_dir / "table.json"), "--out": str(out)}
+        args.update({f"--{flag}": str(path) for flag, path in paths.items()})
+        return ["train"] + [part for item in args.items() for part in item]
+
+    def decode_args(self, run_dir, data_dir, out, **paths):
+        args = {"--checkpoint": str(run_dir / "checkpoint.json"),
+                "--manifest": str(data_dir / "held_out.jsonl"),
+                "--table": str(data_dir / "table.json"), "--out": str(out)}
+        args.update({f"--{flag}": str(path) for flag, path in paths.items()})
+        return ["decode"] + [part for item in args.items() for part in item]
+
+    @staticmethod
+    def assert_names_the_directory(code, err, directory):
+        assert code == 1, err
+        assert f"error: Is a directory: {directory}" in err, err
+
+    @pytest.mark.parametrize("flag", ["manifest", "table", "config"])
+    def test_train_input_that_is_a_directory_exits_one(self, data_dir, tmp_path, flag):
+        code, err = run_main(self.train_args(data_dir, tmp_path / "out", **{flag: tmp_path}))
+        self.assert_names_the_directory(code, err, tmp_path)
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_that_is_a_directory_exits_one(self, run_dir, data_dir, tmp_path):
+        code, err = run_main(self.decode_args(run_dir, data_dir, tmp_path / "out",
+                                              checkpoint=tmp_path))
+        self.assert_names_the_directory(code, err, tmp_path)
+        assert not (tmp_path / "out").exists()
+
+    def test_gen_data_out_that_is_a_file_exits_one(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me")
+        code, err = run_main(["gen-data", "--config", write_json(tmp_path / "w.json", GEN_CONFIG),
+                              "--out", str(taken)])
+        assert code == 1, err
+        assert f"error: File exists: {taken}" in err, err
+        assert taken.read_text() == "keep me"
+
+    def test_manifest_line_that_is_not_utf8_exits_two(self, data_dir, tmp_path):
+        lines = (data_dir / "train.jsonl").read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"caption": "', b'"caption": "\xff', 1)
+        bad = tmp_path / "latin.jsonl"
+        bad.write_bytes(b"".join(lines))
+        code, err = run_main(self.train_args(data_dir, tmp_path / "out", manifest=bad))
+        assert code == 2, err
+        assert "latin.jsonl:2: not UTF-8 text" in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["int", "list"])
+    def test_checkpoint_vocabulary_of_non_strings_exits_two(self, run_dir, data_dir,
+                                                            tmp_path, kind):
+        ckpt = json.loads((run_dir / "checkpoint.json").read_text())
+        tokens = ckpt["config"]["vocab_tokens"]
+        # the reserved tokens stay and the length holds, so only the types are wrong
+        tokens[len(RESERVED):] = [i if kind == "int" else [token]
+                                  for i, token in enumerate(tokens[len(RESERVED):])]
+        bad = write_json(tmp_path / "tokens.json", ckpt)
+        code, err = run_main(self.decode_args(run_dir, data_dir, tmp_path / "out",
+                                              checkpoint=bad))
+        assert code == 2, err
+        assert "tokens.json: checkpoint carries no vocabulary list" in err, err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGradcheckCommand:

@@ -122,6 +122,26 @@ class TestEventMemory:
         np.testing.assert_array_equal(memory.rows_block(0, 0, 1),
                                       np.ones((1, D)))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_block_matches_the_padded_store(self, seed):
+        rng = np.random.default_rng(seed)
+        n_layers = 2 + seed % 2
+        memory = EventMemory(n_layers)
+        # the second event is shorter than the first, the case padding handled
+        lengths = [rng.integers(4, 9), rng.integers(1, 4), *rng.integers(1, 9, size=3)]
+        events = []
+        for n_rows in lengths[:1 + seed % 5]:
+            event = [rng.normal(size=(int(n_rows), D)) for _ in range(n_layers)]
+            memory.append([Tensor(rows) for rows in event])
+            events.append(event)
+            longest = max(len(e[0]) for e in events)
+            for layer in range(n_layers):
+                for start in range(longest + 3):   # the last starts pass every event's end
+                    for s in range(1, 9):
+                        np.testing.assert_array_equal(
+                            memory.rows_block(layer, start, s),
+                            oracles.padded_rows_block(events, layer, start, s))
+
 
 class TestForwardEvent:
     def test_first_event_equals_plain_layer_stack(self):

@@ -253,8 +253,8 @@ class TestBatchLoss:
 
     @staticmethod
     def stored(memory):
-        # per layer, each event's state rows, padded with its last row
-        return [np.moveaxis(rows, 1, 0) for rows in memory._rows]
+        # per layer, each event's state rows
+        return [[event[layer] for event in memory._events] for layer in range(memory.n_layers)]
 
     def test_frozen_memory_is_live_memory_at_the_evaluation_point(self, world):
         model, record, table, vocab, base = world
