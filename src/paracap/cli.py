@@ -136,7 +136,10 @@ def _load_eval_inputs(args):
     if not isinstance(vocab_tokens, list) or not all(type(t) is str for t in vocab_tokens):
         raise ValidationError(f"{args.checkpoint}: checkpoint carries no vocabulary list "
                               "(config.vocab_tokens must be a list of strings)")
-    vocab = Vocabulary(vocab_tokens[len(RESERVED):])
+    try:
+        vocab = Vocabulary(vocab_tokens[len(RESERVED):])
+    except ValidationError as exc:   # a repeated token
+        raise ValidationError(f"{args.checkpoint}: {exc}") from None
     if vocab.id_to_token != list(vocab_tokens):
         raise ValidationError(f"{args.checkpoint}: stored vocabulary is not in "
                               "canonical order")

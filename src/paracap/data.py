@@ -48,7 +48,8 @@ class Vocabulary:
         self.id_to_token = list(RESERVED) + [t for t in tokens if t not in RESERVED]
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
-            raise ValidationError("duplicate tokens in vocabulary")
+            dup = next(t for i, t in enumerate(self.id_to_token) if self.token_to_id[t] != i)
+            raise ValidationError(f"duplicate token {dup!r} in vocabulary")
 
     def __len__(self) -> int:
         return len(self.id_to_token)

@@ -135,11 +135,12 @@ def _make(values, op: str, parents: tuple, backward_fn) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
-    if t.grad is not None:
+    if t.grad is not None:   # in training, a parameter's zeroed view into the gradient buffer
         t.grad += g
     elif type(g) is np.ndarray and g.shape == t.values.shape:
-        # differs from 0.0 + g only by keeping -0.0, which no backward rule
-        # or optimizer step can turn into a different nonzero value
+        # differs from the 0.0 + g that a zeroed view comes to hold only by
+        # keeping -0.0, which no backward rule or optimizer step can turn
+        # into a different nonzero value
         t.grad = g.copy()
     else:
         t.grad = np.zeros(t.values.shape)

@@ -3,7 +3,9 @@ decoding into paragraph pairs for the metrics.
 
 Videos are the batch unit so events inside each video stay sequential
 (the decoder memory depends on it). The contrastive term is computed once
-per batch over every event in the batch.
+per batch over every event in the batch. While ``train`` runs, every
+parameter's values and gradient are views into one flat buffer each, so
+backward, clipping, Adam and the rollback all work on those buffers in place.
 """
 
 from __future__ import annotations
@@ -47,37 +49,46 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment buffers over all parameters laid end to end in
-    dict order, plus the shared step counter."""
+    """All parameters laid end to end in dict order in one buffer, with the
+    gradients and the first/second moments in the same layout, plus the
+    shared step counter. Each parameter's ``values`` and ``grad`` become
+    reshaped views into the first two buffers."""
 
     def __init__(self, params: dict):
-        self.m = np.zeros(sum(p.values.size for p in params.values()))
-        self.v = np.zeros_like(self.m)
+        self.values = np.concatenate([p.values.ravel() for p in params.values()])
+        self.grads, self.m, self.v = (np.zeros_like(self.values) for _ in range(3))
         self.step = 0
+        start = 0
+        for p in params.values():
+            shape, stop = p.values.shape, start + p.values.size
+            p.values = self.values[start:stop].reshape(shape)
+            p.grad = self.grads[start:stop].reshape(shape)
+            start = stop
 
 
-def clip_gradients(grads: dict, max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most ``max_norm``."""
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def clip_gradients(params: dict, max_norm: float) -> float:
+    """Scale the gradients in place so their global norm is at most
+    ``max_norm``; squares are summed tensor by tensor, as one flat sum rounds
+    differently."""
+    total = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in params.values()))
     if total > max_norm:
         scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        for p in params.values():
+            p.grad *= scale
     return total
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig,
-              warmup_steps: int):
-    """One optimizer step; rejects the whole step on any non-finite gradient.
+def adam_step(params: dict, state: AdamState, cfg: TrainConfig, warmup_steps: int):
+    """One in-place step on ``state``'s buffers; a non-finite gradient rejects it.
 
     The learning rate ramps linearly from zero over ``warmup_steps``
     optimizer steps, then stays constant. Weight decay is decoupled from
     the moment estimates. Every operation is elementwise, so running it
     once over all parameters laid end to end changes no value.
     """
-    g = np.concatenate([grads[name].ravel() for name in params])
+    g = state.grads
     if not np.isfinite(g).all():
-        name = next(n for n in params if not np.isfinite(grads[n]).all())
+        name = next(n for n, p in params.items() if not np.isfinite(p.grad).all())
         raise NumericalError(f"non-finite gradient in {name}; step rejected")
     state.step += 1
     t = state.step
@@ -90,12 +101,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig,
     v *= BETA2
     v += (1.0 - BETA2) * g * g
     update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-    flat = np.concatenate([p.values.ravel() for p in params.values()])
-    flat = flat - lr * (update + WEIGHT_DECAY * flat)
-    start = 0
-    for p in params.values():
-        p.values = flat[start:start + p.values.size].reshape(p.values.shape).copy()
-        start += p.values.size
+    state.values -= lr * (update + WEIGHT_DECAY * state.values)
 
 
 @dataclass
@@ -109,10 +115,6 @@ class EpochStats:
     def log_line(self) -> str:
         return json.dumps({"epoch": self.epoch, "L_cap": self.l_cap,
                            "L_con": self.l_con, "tau": self.tau, "acc": self.acc})
-
-
-def _batches(n: int, size: int, order) -> list:
-    return [order[i:i + size] for i in range(0, n, size)]
 
 
 def batch_loss(model, records, forwards, vocab, loss_cfg: L.LossConfig):
@@ -156,7 +158,7 @@ def train(model, records, table, vocab, cfg: TrainConfig, loss_cfg: L.LossConfig
     rng = np.random.default_rng(cfg.seed)
     n_batches = math.ceil(len(records) / cfg.batch_size)
     warmup_steps = cfg.warmup_epochs * n_batches
-    last_good = {k: p.values.copy() for k, p in params.items()}
+    last_good = state.values.copy()
     history = []
     log_fh = open(log_path, "w") if log_path else None
     # Each step's tape is acyclic, so reference counting frees it; the
@@ -169,9 +171,9 @@ def train(model, records, table, vocab, cfg: TrainConfig, loss_cfg: L.LossConfig
             cap_sum = con_sum = tau_sum = 0.0
             n_events = n_con = 0
             correct = total = 0
-            for batch_ids in _batches(len(records), cfg.batch_size, order):
-                T.zero_grads(params.values())
-                batch = [records[vi] for vi in batch_ids]
+            for start in range(0, len(records), cfg.batch_size):
+                state.grads.fill(0.0)
+                batch = [records[vi] for vi in order[start:start + cfg.batch_size]]
                 forwards = [model.forward_video(rec, table, vocab) for rec in batch]
                 for fwd in forwards:
                     for logits, targets in zip(fwd.logits, fwd.targets):
@@ -185,24 +187,17 @@ def train(model, records, table, vocab, cfg: TrainConfig, loss_cfg: L.LossConfig
                     con_sum += float(con.values)
                     n_con += 1
                 if not np.isfinite(loss.values):
-                    for k, p in params.items():
-                        p.values = last_good[k].copy()
+                    state.values[:] = last_good
                     raise NumericalError(
                         f"loss diverged at epoch {epoch}; parameters rolled back")
                 T.backward(loss)
-                grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.values))
-                         for k, p in params.items()}
-                clip_gradients(grads, GRAD_CLIP)
-                adam_step(params, grads, state, cfg, warmup_steps)
-            stats = EpochStats(
-                epoch=epoch,
-                l_cap=cap_sum / max(n_events, 1),
-                l_con=con_sum / max(n_con, 1),
-                tau=tau_sum / max(n_events, 1),
-                acc=correct / max(total, 1),
-            )
+                clip_gradients(params, GRAD_CLIP)
+                adam_step(params, state, cfg, warmup_steps)
+            stats = EpochStats(epoch=epoch, l_cap=cap_sum / max(n_events, 1),
+                               l_con=con_sum / max(n_con, 1), tau=tau_sum / max(n_events, 1),
+                               acc=correct / max(total, 1))
             history.append(stats)
-            last_good = {k: p.values.copy() for k, p in params.items()}
+            last_good = state.values.copy()
             if log_fh:
                 log_fh.write(stats.log_line() + "\n")
                 log_fh.flush()

@@ -15,6 +15,7 @@ from paracap import tensor as T
 from paracap.data import BOS_ID, EOS_ID
 from paracap.encoder import select_and_fuse
 from paracap.tensor import Tensor
+from paracap.training import BETA1, BETA2, EPS, WEIGHT_DECAY
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,41 @@ def adam_first_step(p0, grad, lr, beta1, beta2, weight_decay, warmup_scale=1.0,
     v_hat = v / (1.0 - beta2)
     step_lr = lr * warmup_scale
     return p0 - step_lr * (m_hat / (math.sqrt(v_hat) + eps) + weight_decay * p0)
+
+
+def clip_gradients_dict(grads, max_norm):
+    """Global-norm clipping over a dict of gradient arrays, squares summed
+    tensor by tensor, as training ran before the gradient buffer."""
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if total > max_norm:
+        scale = max_norm / total
+        for g in grads.values():
+            g *= scale
+    return total
+
+
+def adam_step_concat(params, grads, state, cfg, warmup_steps):
+    """Adam as training ran before the parameter buffer: concatenate every
+    gradient and every parameter in dict order, update the flat copy, then
+    copy each parameter back out. ``state`` holds ``m``, ``v`` and ``step``."""
+    g = np.concatenate([grads[name].ravel() for name in params])
+    state.step += 1
+    t = state.step
+    lr = cfg.lr * min(1.0, t / warmup_steps) if warmup_steps > 0 else cfg.lr
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    m, v = state.m, state.v
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    flat = np.concatenate([p.values.ravel() for p in params.values()])
+    flat = flat - lr * (update + WEIGHT_DECAY * flat)
+    start = 0
+    for p in params.values():
+        p.values = flat[start:start + p.values.size].reshape(p.values.shape).copy()
+        start += p.values.size
 
 
 # ---------------------------------------------------------------------------

@@ -722,6 +722,18 @@ class TestFileSystemBoundary:
         assert "tokens.json: checkpoint carries no vocabulary list" in err, err
         assert not (tmp_path / "out").exists()
 
+    def test_checkpoint_vocabulary_with_a_repeated_token_exits_two(self, run_dir, data_dir,
+                                                                    tmp_path):
+        ckpt = json.loads((run_dir / "checkpoint.json").read_text())
+        tokens = ckpt["config"]["vocab_tokens"]
+        tokens[-1] = tokens[-2]
+        bad = write_json(tmp_path / "repeat.json", ckpt)
+        code, err = run_main(self.decode_args(run_dir, data_dir, tmp_path / "out",
+                                              checkpoint=bad))
+        assert code == 2, err
+        assert f"repeat.json: duplicate token {tokens[-2]!r} in vocabulary" in err, err
+        assert not (tmp_path / "out").exists()
+
 
 class TestGradcheckCommand:
     def test_exit_zero_and_summary_lines(self, monkeypatch, capsys):

@@ -79,8 +79,8 @@ class TestVocabulary:
         assert v.encode(["cat"]) == [UNK_ID]
 
     def test_duplicate_tokens_rejected(self):
-        with pytest.raises(ValidationError):
-            Vocabulary(["dog", "dog"])
+        with pytest.raises(ValidationError, match="duplicate token 'dog'"):
+            Vocabulary(["cat", "dog", "dog"])
 
     def test_reserved_tokens_in_input_are_skipped(self):
         v = Vocabulary([PAD, "dog"])

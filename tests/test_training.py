@@ -2,13 +2,14 @@
 
 import gc
 import json
+import types
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import build_setup
-from paracap import gradcheck
+from paracap import gradcheck, training
 from paracap import metrics as M
 from paracap import tensor as T
 from paracap.data import tokenize
@@ -17,7 +18,7 @@ from paracap.errors import NumericalError, ValidationError
 from paracap.losses import LossConfig
 from paracap.model import CaptionModel
 from paracap.tensor import Tensor
-from paracap.training import (BETA1, BETA2, WEIGHT_DECAY, AdamState,
+from paracap.training import (BETA1, BETA2, GRAD_CLIP, WEIGHT_DECAY, AdamState,
                               TrainConfig, adam_step, batch_loss, clip_gradients,
                               decode_pairs, train)
 
@@ -32,82 +33,194 @@ class TestTrainConfig:
             TrainConfig(**bad)
 
 
+def with_grads(**grads):
+    params = {}
+    for name, g in grads.items():
+        params[name] = Tensor(np.zeros(len(g)), requires_grad=True)
+        params[name].grad = np.array(g)
+    return params
+
+
 class TestClipGradients:
     def test_large_gradient_scales_to_the_cap(self):
-        grads = {"w": np.array([3.0, 4.0])}
-        total = clip_gradients(grads, 1.0)
+        params = with_grads(w=[3.0, 4.0])
+        total = clip_gradients(params, 1.0)
         assert total == 5.0
-        np.testing.assert_allclose(grads["w"], [0.6, 0.8], atol=1e-15)
+        np.testing.assert_allclose(params["w"].grad, [0.6, 0.8], atol=1e-15)
 
     def test_small_gradient_passes_untouched(self):
-        grads = {"w": np.array([3.0, 4.0])}
-        total = clip_gradients(grads, 10.0)
+        params = with_grads(w=[3.0, 4.0])
+        total = clip_gradients(params, 10.0)
         assert total == 5.0
-        np.testing.assert_array_equal(grads["w"], [3.0, 4.0])
+        np.testing.assert_array_equal(params["w"].grad, [3.0, 4.0])
 
     def test_norm_is_global_across_tensors(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        assert clip_gradients(grads, 1.0) == 5.0
-        np.testing.assert_allclose(grads["a"], [0.6], atol=1e-15)
-        np.testing.assert_allclose(grads["b"], [0.8], atol=1e-15)
+        params = with_grads(a=[3.0], b=[4.0])
+        assert clip_gradients(params, 1.0) == 5.0
+        np.testing.assert_allclose(params["a"].grad, [0.6], atol=1e-15)
+        np.testing.assert_allclose(params["b"].grad, [0.8], atol=1e-15)
 
 
 def one_param(value):
     p = Tensor(np.array([value]), requires_grad=True)
-    return {"w": p}, p
+    params = {"w": p}
+    return params, p, AdamState(params)
+
+
+def step_with(params, state, grad, cfg, warmup_steps):
+    """Write ``grad`` into the gradient buffer, then take one step."""
+    state.grads[:] = grad
+    adam_step(params, state, cfg, warmup_steps)
 
 
 class TestAdamStep:
     def test_zero_gradient_with_decay_shrinks_params(self):
-        params, p = one_param(0.7)
+        params, p, state = one_param(0.7)
         cfg = TrainConfig(lr=0.1, warmup_epochs=0)
-        adam_step(params, {"w": np.zeros(1)}, AdamState(params), cfg, 0)
+        step_with(params, state, 0.0, cfg, 0)
         assert p.values[0] == pytest.approx(0.7 - 0.1 * WEIGHT_DECAY * 0.7,
                                             rel=1e-15)
 
     def test_unit_gradient_first_step_matches_closed_form(self):
         # Bias correction makes the first step lr * g/(|g| + eps) exactly;
         # decay adds nothing because the parameter starts at zero.
-        params, p = one_param(0.0)
+        params, p, state = one_param(0.0)
         cfg = TrainConfig(lr=0.1, warmup_epochs=0)
-        adam_step(params, {"w": np.ones(1)}, AdamState(params), cfg, 0)
+        step_with(params, state, 1.0, cfg, 0)
         assert p.values[0] == pytest.approx(-0.1 / (1.0 + 1e-8), rel=1e-15)
 
     def test_first_step_matches_hand_oracle(self):
-        params, p = one_param(0.4)
+        params, p, state = one_param(0.4)
         cfg = TrainConfig(lr=0.05, warmup_epochs=0)
-        adam_step(params, {"w": np.array([2.5])}, AdamState(params), cfg, 0)
+        step_with(params, state, 2.5, cfg, 0)
         want = oracles.adam_first_step(0.4, 2.5, 0.05, BETA1, BETA2,
                                        WEIGHT_DECAY)
         assert p.values[0] == pytest.approx(want, rel=1e-14)
 
     def test_warmup_scales_the_first_step(self):
-        params, p = one_param(0.4)
+        params, p, state = one_param(0.4)
         cfg = TrainConfig(lr=0.05, warmup_epochs=1)
-        adam_step(params, {"w": np.array([2.5])}, AdamState(params), cfg, 4)
+        step_with(params, state, 2.5, cfg, 4)
         want = oracles.adam_first_step(0.4, 2.5, 0.05, BETA1, BETA2,
                                        WEIGHT_DECAY, warmup_scale=0.25)
         assert p.values[0] == pytest.approx(want, rel=1e-14)
 
     def test_nonfinite_gradient_rejects_the_whole_step(self):
-        params, p = one_param(0.4)
-        state = AdamState(params)
+        params, p, state = one_param(0.4)
+        state.m[:], state.v[:] = 0.3, 0.2   # moments a rejected step must not touch
         cfg = TrainConfig(lr=0.1, warmup_epochs=0)
         with pytest.raises(NumericalError, match="w"):
-            adam_step(params, {"w": np.array([np.nan])}, state, cfg, 0)
+            step_with(params, state, np.nan, cfg, 0)
         assert p.values[0] == 0.4
         assert state.step == 0
+        assert state.m[0] == 0.3 and state.v[0] == 0.2
 
     def test_two_identical_runs_are_bitwise_equal(self):
         results = []
         for _ in range(2):
-            params, p = one_param(0.3)
-            state = AdamState(params)
+            params, p, state = one_param(0.3)
             cfg = TrainConfig(lr=0.01, warmup_epochs=2, epochs=10)
             for g in [0.5, -1.0, 2.0, 0.25]:
-                adam_step(params, {"w": np.array([g])}, state, cfg, 4)
+                step_with(params, state, g, cfg, 4)
             results.append(p.values.copy())
         np.testing.assert_array_equal(results[0], results[1])
+
+
+def assert_bitwise(got, want, name=""):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def assert_laid_out_in_one_buffer(params):
+    """Every parameter's values, and every gradient, is a view into one
+    buffer of its own, in dict order and end to end."""
+    buffers = []
+    for attr in ("values", "grad"):
+        arrays = [getattr(p, attr) for p in params.values()]
+        buffers.append(arrays[0].base)
+        assert buffers[-1] is not None, attr
+        assert buffers[-1].size == sum(a.size for a in arrays), attr
+        offset = 0
+        for name, a in zip(params, arrays):
+            assert a.base is buffers[-1], (attr, name)
+            assert np.shares_memory(a, buffers[-1][offset:offset + a.size]), (attr, name)
+            offset += a.size
+    assert buffers[0] is not buffers[1]
+
+
+class TestParameterBuffer:
+    """``train`` keeps every parameter and gradient in one flat buffer each;
+    a step on the buffers is bitwise the concatenating step it replaced."""
+
+    @staticmethod
+    def mixed_params():
+        rng = np.random.default_rng(0)
+        shapes = {"w": (3, 4), "b": (4,), "rho": (), "idle": (2, 2), "emb": (5, 3)}
+        return {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+
+    def test_buffer_step_matches_the_concatenating_oracle(self):
+        old, new = self.mixed_params(), self.mixed_params()
+        state = AdamState(new)
+        ref = types.SimpleNamespace(m=np.zeros_like(state.m), v=np.zeros_like(state.v), step=0)
+        cfg = TrainConfig(lr=0.05, warmup_epochs=1, epochs=2)
+        rng = np.random.default_rng(1)
+        totals = []
+        for scale in [3.0, 0.01, 2.0, 0.05, 1.5, 0.2]:
+            # "idle" gets no gradient; a -0.0 entry reaches the buffer as +0.0
+            coef = {k: scale * rng.normal(size=p.shape) for k, p in old.items() if k != "idle"}
+            coef["w"][0, 0] = -0.0
+            T.zero_grads(old.values())
+            state.grads.fill(0.0)
+            for params in (old, new):
+                T.backward(T.tsum(T.stack([T.tsum(params[k] * c) for k, c in coef.items()])))
+            grads = {k: p.grad if p.grad is not None else np.zeros_like(p.values)
+                     for k, p in old.items()}
+            totals.append(oracles.clip_gradients_dict(grads, GRAD_CLIP))
+            assert clip_gradients(new, GRAD_CLIP) == totals[-1]
+            oracles.adam_step_concat(old, grads, ref, cfg, 4)
+            adam_step(new, state, cfg, 4)
+            for name in old:
+                assert_bitwise(new[name].values, old[name].values, name)
+            assert_bitwise(state.m, ref.m)
+            assert_bitwise(state.v, ref.v)
+        assert min(totals) < GRAD_CLIP < max(totals)
+        assert_laid_out_in_one_buffer(new)
+
+    def test_training_keeps_one_buffer(self):
+        corpus, vocab, model = build_setup(
+            seed=1, spec_overrides=dict(n_videos=2, n_held_out=0))
+        params = model.named_params()
+        train(model, corpus.train, corpus.table, vocab, quick_cfg(), LossConfig(),
+              callback=lambda s: assert_laid_out_in_one_buffer(params))
+        assert_laid_out_in_one_buffer(params)
+
+    def test_every_backward_starts_from_zero_gradients(self, monkeypatch):
+        corpus, vocab, model = build_setup(
+            seed=1, spec_overrides=dict(n_videos=2, n_held_out=0))
+        params = model.named_params()
+        real_backward, zeroed = T.backward, []
+
+        def checked_backward(loss):
+            zeroed.append(all(not p.grad.any() for p in params.values()))
+            real_backward(loss)
+
+        monkeypatch.setattr(T, "backward", checked_backward)
+        train(model, corpus.train, corpus.table, vocab, quick_cfg(epochs=2, batch_size=1),
+              LossConfig())
+        assert zeroed == [True] * 4
+
+    def test_reassigned_parameters_train_on_the_next_call(self):
+        # gradcheck's jitter and load_checkpoint assign fresh arrays this way
+        corpus, vocab, model = build_setup(
+            seed=1, spec_overrides=dict(n_videos=2, n_held_out=0))
+        train(model, corpus.train, corpus.table, vocab, quick_cfg(), LossConfig())
+        rng = np.random.default_rng(2)
+        for p in model.named_params().values():
+            p.values = p.values + rng.normal(0.0, 0.01, size=p.shape)
+        before = {k: p.values.copy() for k, p in model.named_params().items()}
+        train(model, corpus.train, corpus.table, vocab, quick_cfg(), LossConfig())
+        for name, p in model.named_params().items():
+            assert np.abs(p.values - before[name]).max() > 0.0, name
+        assert_laid_out_in_one_buffer(model.named_params())
 
 
 def quick_cfg(**kw):
@@ -195,12 +308,41 @@ class TestTrainLoop:
     def test_divergent_run_raises_and_leaves_finite_params(self):
         corpus, vocab, model = build_setup(
             seed=4, spec_overrides=dict(n_videos=2, n_held_out=0))
+        params = model.named_params()
+        # the values at the end of each finished epoch, starting from the initial ones
+        good = [{k: p.values.copy() for k, p in params.items()}]
         with pytest.raises(NumericalError):
             train(model, corpus.train, corpus.table, vocab,
-                  quick_cfg(lr=1e6, epochs=8, batch_size=1), LossConfig())
+                  quick_cfg(lr=1e6, epochs=8, batch_size=1), LossConfig(),
+                  callback=lambda s: good.append({k: p.values.copy()
+                                                  for k, p in params.items()}))
         assert gc.isenabled()
-        for name, p in model.named_params().items():
+        for name, p in params.items():
             assert np.isfinite(p.values).all(), name
+            assert_bitwise(p.values, good[-1][name], name)
+        assert_laid_out_in_one_buffer(params)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_rollback_undoes_the_steps_of_the_unfinished_epoch(self, monkeypatch):
+        # this world's loss diverges in the first epoch, after optimizer steps
+        corpus, vocab, model = build_setup(
+            seed=4, spec_overrides=dict(n_videos=3, n_held_out=0))
+        params = model.named_params()
+        before = {k: p.values.copy() for k, p in params.items()}
+        real_step, steps = training.adam_step, []
+
+        def counted_step(*args):
+            steps.append(args)
+            real_step(*args)
+
+        monkeypatch.setattr(training, "adam_step", counted_step)
+        with pytest.raises(NumericalError, match="epoch 0"):
+            train(model, corpus.train, corpus.table, vocab,
+                  quick_cfg(lr=1e6, epochs=8, batch_size=1), LossConfig())
+        assert steps
+        for name, p in params.items():
+            assert_bitwise(p.values, before[name], name)
 
     def test_log_lines_follow_the_schema(self, tmp_path, tiny_setup):
         corpus, vocab, model = tiny_setup
