@@ -63,12 +63,11 @@ def main():
     banner("gradients respect hard masking exactly")
     wq = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     wk = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    zero = Tensor(np.zeros(3))
     allowed = np.tril(np.ones((3, 3), dtype=bool))       # causal pattern
     # identity rows make q and k the weights themselves, and identity
     # values make the output the attention probabilities
-    head = [(wq, zero, wk, zero, Tensor(np.eye(3)), zero)]
-    probs = T.attention_heads(Tensor(np.eye(3)), head, allowed, {})
+    head = [wq, wk, Tensor(np.eye(3))]
+    probs = T.attention_heads(Tensor(np.eye(3)), head, None, allowed, {})
     first_two = Tensor(np.array([[1.0], [1.0], [0.0]]))  # the loss reads rows 0-1
     T.backward(T.tsum(probs * probs * first_two))
     print("attention probabilities (upper triangle masked):")

@@ -155,9 +155,9 @@ def _primitive_cases():
         # vector) for head 0's bv; the first two calls run under a causal
         # mask, the last unmasked
         def heads(d, e):
-            return [(_weights(rng, (d, e)), _weights(rng, (e,)),
-                     _weights(rng, (d, e)), _weights(rng, (e,)),
-                     _weights(rng, (d, e)), _weights(rng, (e,))) for _ in range(2)]
+            # two heads' q, k, v maps, each drawn before its bias
+            drawn = [(_weights(rng, (d, e)), _weights(rng, (e,))) for _ in range(6)]
+            return [w for w, _ in drawn], [b for _, b in drawn]
 
         first, second, third = heads(4, 2), heads(3, 4), heads(2, 12)
         rows_b = Tensor(rng.normal(size=(5, 3)))
@@ -166,12 +166,12 @@ def _primitive_cases():
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
 
         def f(x):
-            b_heads = [second[0], (x,) + second[1][1:]]
-            c_heads = [third[0][:5] + (T.reshape(x, (12,)),), third[1]]
+            b_weights = second[0][:3] + [x] + second[0][4:]
+            c_biases = third[1][:2] + [T.reshape(x, (12,))] + third[1][3:]
             causal = np.tril(np.ones((5, 5), dtype=bool))
-            return (T.tsum(T.attention_heads(x, first, causal[:3, :3], {}) * w_a)
-                    + T.tsum(T.attention_heads(rows_b, b_heads, causal, {}) * w_b)
-                    + T.tsum(T.attention_heads(rows_c, c_heads, None, {}) * w_c))
+            return (T.tsum(T.attention_heads(x, *first, causal[:3, :3], {}) * w_a)
+                    + T.tsum(T.attention_heads(rows_b, b_weights, second[1], causal, {}) * w_b)
+                    + T.tsum(T.attention_heads(rows_c, third[0], c_biases, None, {}) * w_c))
         return f, x
 
     def case_clamp_min(rng):

@@ -68,19 +68,17 @@ class SelfAttention:
     mixing block used to fuse a handful of vectors (selected feature rows,
     per-modality summaries, memory readouts), where a full transformer
     block would be overweight. It runs as a one-head ``T.attention_heads``
-    whose biases are a constant zero vector.
+    without biases.
     """
 
     def __init__(self, rng: np.random.Generator, d: int):
         self.wq = _init(rng, (d, d))
         self.wk = _init(rng, (d, d))
         self.wv = _init(rng, (d, d))
-        self.zero = Tensor(np.zeros(d))
 
     def __call__(self, x: Tensor, mask=None) -> Tensor:
         """Attend among the rows of ``x``; ``mask`` as in ``T.attention_heads``."""
-        z = self.zero
-        return T.attention_heads(x, [(self.wq, z, self.wk, z, self.wv, z)], mask, {})
+        return T.attention_heads(x, [self.wq, self.wk, self.wv], None, mask, {})
 
     def params(self) -> dict:
         return {"wq": self.wq, "wk": self.wk, "wv": self.wv}
@@ -104,9 +102,9 @@ class MaskedMultiHeadAttention:
         with ``cache`` and to the rows of ``x``, under ``mask`` (None: every
         row is visible); ``cache`` as in ``T.attention_heads``.
         """
-        projections = [(q.w, q.b, k.w, k.b, v.w, v.b)
-                       for q, k, v in zip(self.wq, self.wk, self.wv)]
-        return self.wo(T.attention_heads(x, projections, mask, cache))
+        lins = [lin for head in zip(self.wq, self.wk, self.wv) for lin in head]
+        return self.wo(T.attention_heads(x, [lin.w for lin in lins], [lin.b for lin in lins],
+                                         mask, cache))
 
     def params(self) -> dict:
         heads = [(f"{group}{h}", lins[h]) for h in range(self.n_heads)

@@ -86,7 +86,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, op={self.op!r})"
 
-    # operator sugar; scalars and arrays are wrapped as constants
+    # operator sugar; only the arithmetic ops (add, sub, mul, div) take a
+    # scalar or array operand, which they wrap as a constant
     def __add__(self, other):
         return add(self, other)
 
@@ -242,9 +243,7 @@ def div(a, b) -> Tensor:
     return _make(out, "div", (a, b), bw)
 
 
-def neg(a) -> Tensor:
-    a = _wrap(a)
-
+def neg(a: Tensor) -> Tensor:
     def bw(g, a=a):
         _accum(a, -g)
 
@@ -255,7 +254,6 @@ def neg(a) -> Tensor:
 # linear algebra and shape plumbing
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -270,7 +268,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    a = _wrap(a)
     if a.ndim != 2:
         raise ShapeError(f"transpose needs a matrix, got shape {a.shape}")
 
@@ -281,7 +278,6 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = _wrap(a)
     out = a.values.reshape(shape)
 
     def bw(g, a=a):
@@ -291,7 +287,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
+    tensors = tuple(tensors)
     if not tensors:
         raise ShapeError("concat of an empty list")
     out = np.concatenate([t.values for t in tensors], axis=axis)
@@ -301,11 +297,11 @@ def concat(tensors, axis: int = 0) -> Tensor:
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             _accum(t, piece)
 
-    return _make(out, "concat", tuple(tensors), bw)
+    return _make(out, "concat", tensors, bw)
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
+    tensors = tuple(tensors)
     if not tensors:
         raise ShapeError("stack of an empty list")
     first = tensors[0].values.shape
@@ -318,7 +314,7 @@ def stack(tensors, axis: int = 0) -> Tensor:
         for i, t in enumerate(tensors):
             _accum(t, np.take(g, i, axis=axis))
 
-    return _make(out, "stack", tuple(tensors), bw)
+    return _make(out, "stack", tensors, bw)
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
@@ -326,7 +322,6 @@ def take_rows(a: Tensor, indices) -> Tensor:
 
     Duplicate indices accumulate their gradients into the same source row.
     """
-    a = _wrap(a)
     if a.ndim != 2:
         raise ShapeError(f"take_rows needs a matrix, got shape {a.shape}")
     idx = np.asarray(indices, dtype=np.intp)
@@ -354,7 +349,6 @@ def _spread(g, shape: tuple, axis) -> np.ndarray:
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
-    a = _wrap(a)
     out = a.values.sum(axis=axis)
 
     def bw(g, a=a, axis=axis):
@@ -364,7 +358,6 @@ def tsum(a: Tensor, axis=None) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
     count = a.values.size if axis is None else a.values.shape[axis]
     out = a.values.sum(axis=axis, keepdims=keepdims) / count   # what ndarray.mean computes
 
@@ -380,7 +373,6 @@ def l2_norm_rows(a: Tensor) -> Tensor:
     The subgradient at an all-zero row is defined as zero, so feature sets
     with empty entries never produce NaN.
     """
-    a = _wrap(a)
     if a.ndim != 2:
         raise ShapeError(f"l2_norm_rows needs a matrix, got shape {a.shape}")
     norms = np.sqrt((a.values * a.values).sum(axis=1))
@@ -396,7 +388,6 @@ def l2_norm_rows(a: Tensor) -> Tensor:
 # nonlinearities
 
 def texp(a: Tensor) -> Tensor:
-    a = _wrap(a)
     out = np.exp(a.values)
 
     def bw(g, a=a, out=out):
@@ -406,8 +397,6 @@ def texp(a: Tensor) -> Tensor:
 
 
 def tlog(a: Tensor) -> Tensor:
-    a = _wrap(a)
-
     def bw(g, a=a):
         _accum(a, g / a.values)
 
@@ -416,7 +405,6 @@ def tlog(a: Tensor) -> Tensor:
 
 def log_sigmoid(a: Tensor) -> Tensor:
     """log(sigmoid(x)) computed without overflow for large |x|."""
-    a = _wrap(a)
     out = -np.logaddexp(0.0, -a.values)
 
     def bw(g, a=a):
@@ -427,7 +415,6 @@ def log_sigmoid(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact-erf gaussian error linear unit; smooth, so finite differences agree."""
-    a = _wrap(a)
     cdf = 0.5 * (1.0 + erf(a.values * _INV_SQRT2))
     out = a.values * cdf
 
@@ -440,7 +427,6 @@ def gelu(a: Tensor) -> Tensor:
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     """max(x, floor); the gradient stops where the floor is active."""
-    a = _wrap(a)
 
     def bw(g, a=a, floor=floor):
         _accum(a, g * (a.values > floor))
@@ -453,7 +439,6 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    a = _wrap(a)
     if np.isnan(a.values).any():
         raise NumericalError("softmax received NaN input")
     shifted = a.values - a.values.max(axis=-1, keepdims=True)
@@ -469,7 +454,6 @@ def softmax(a: Tensor) -> Tensor:
 
 def log_softmax(a: Tensor) -> Tensor:
     """Log-softmax over the last axis."""
-    a = _wrap(a)
     if np.isnan(a.values).any():
         raise NumericalError("log_softmax received NaN input")
     m = a.values.max(axis=-1, keepdims=True)
@@ -488,7 +472,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     ``gain`` and ``bias`` are vectors with the extent of the last axis.
     """
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     n = x.values.shape[-1]
     if n < 2:
         raise ShapeError(f"layer_norm axis extent must be >= 2, got {n}")
@@ -535,19 +518,22 @@ def _attend_grads(g, q, kt, v, p):
     return gs @ kt.transpose(0, 2, 1), (q.transpose(0, 2, 1) @ gs).transpose(0, 2, 1), gv
 
 
-def attention_heads(x: Tensor, projections, mask, cache: dict) -> Tensor:
+def attention_heads(x: Tensor, weights, biases, mask, cache: dict) -> Tensor:
     """Multi-head self-attention over the rows of ``x``, without the output
     map, as one node: the heads' outputs side by side, (rows, heads * e).
 
-    ``projections`` lists each head's ``(wq, bq, wk, bk, wv, bv)``; head
-    h's queries, keys and values are ``x @ w + b`` with its own weights,
-    and it computes ``softmax(q k^T / sqrt(e)) v`` with ``e`` its key width.
-    ``mask`` is None or a boolean (rows, keys) matrix; a False entry adds
-    -1e9 to its score before the row softmax. ``cache`` (a
+    ``weights`` lists every head's (d, e) query, key and value maps in
+    q0, k0, v0, q1, ... order, and ``biases`` their (e,) biases in the same
+    order, or is None for bare projections. Head h's queries, keys and
+    values are ``x @ w + b`` (``x @ w`` without biases) with its own
+    weights, and it computes ``softmax(q k^T / sqrt(e)) v`` with ``e`` its
+    key width. ``mask`` is None or a boolean (rows, keys) matrix; a False
+    entry adds -1e9 to its score before the row softmax. ``cache`` (a
     dict, empty before the first call) holds every head's keys and values
     of the rows passed in earlier calls; the rows of ``x`` attend to those
     first and then join them. A non-empty cache is refused while the tape
-    records, since no gradient reaches the cached rows.
+    records, since no gradient reaches the cached rows. The node's parents
+    are ``x`` and then each weight followed by its bias.
 
     Each head keeps its own ``x @ w`` matmul: one (d, heads * e) matmul is
     not bitwise equal to them. Forward and backward repeat the numpy calls
@@ -555,12 +541,10 @@ def attention_heads(x: Tensor, projections, mask, cache: dict) -> Tensor:
     receives its gradient in that composition's order (q0, k0, v0, q1, ...),
     so values and gradients are bitwise equal to it.
     """
-    x = _wrap(x)
-    params = [t for head in projections for t in head]
-    w = np.array([t.values for t in params[0::2]])   # (3 * heads, d, e)
+    w = np.array([t.values for t in weights])   # (3 * heads, d, e)
     if x.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"attention_heads needs a matrix of width {w.shape[1]}, got {x.shape}")
-    n_heads, rows = len(projections), x.shape[0]
+    n_heads, rows = len(weights) // 3, x.shape[0]
     if cache and _state.grad_enabled:
         raise RuntimeError("attention_heads with cached rows cannot record gradients; "
                          "run cached calls under no_grad")
@@ -568,8 +552,10 @@ def attention_heads(x: Tensor, projections, mask, cache: dict) -> Tensor:
     if mask is not None and np.shape(mask) != (rows, n_keys):
         raise ShapeError(f"mask shape {np.shape(mask)} does not match "
                          f"{rows} queries and {n_keys} keys")
-    b = np.array([t.values for t in params[1::2]])[:, None]
-    qkv = (x.values @ w + b).reshape(n_heads, 3, rows, w.shape[2])
+    qkv = x.values @ w
+    if biases is not None:
+        qkv += np.array([t.values for t in biases])[:, None]
+    qkv = qkv.reshape(n_heads, 3, rows, w.shape[2])
     q, k, v = qkv[:, 0], qkv[:, 1], qkv[:, 2]
     if cache:
         k = np.concatenate([cache["k"], k], axis=1)
@@ -578,20 +564,22 @@ def attention_heads(x: Tensor, projections, mask, cache: dict) -> Tensor:
     kt = k.transpose(0, 2, 1).copy()
     p, out = _attend(q, kt, v, mask)
 
-    def bw(g, x=x, params=params, q=q, kt=kt, v=v, p=p):
-        w = np.array([t.values for t in params[0::2]])   # not kept: the tape holds no weight copy
+    def bw(g, x=x, weights=weights, biases=biases, q=q, kt=kt, v=v, p=p):
+        w = np.array([t.values for t in weights])   # not kept: the tape holds no weight copy
         g = g.reshape(rows, n_heads, -1).transpose(1, 0, 2).copy()
         # (heads, 3, rows, e) holds each head's q, k, v gradient contiguously,
         # as the composition's nodes held them
         gqkv = np.stack(_attend_grads(g, q, kt, v, p), axis=1).reshape(w.shape[0], rows, -1)
         gx = gqkv @ w.transpose(0, 2, 1)
         gw = x.values.T @ gqkv
-        gb = gqkv.sum(axis=1)
+        gb = None if biases is None else gqkv.sum(axis=1)
         for i in range(w.shape[0]):
             _accum(x, gx[i])
-            _accum(params[2 * i], gw[i])
-            _accum(params[2 * i + 1], gb[i])
+            _accum(weights[i], gw[i])
+            if biases is not None:
+                _accum(biases[i], gb[i])
 
+    params = weights if biases is None else [t for pair in zip(weights, biases) for t in pair]
     return _make(out.transpose(1, 0, 2).reshape(rows, -1), "attention_heads",
                  (x, *params), bw)
 

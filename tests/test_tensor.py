@@ -154,24 +154,23 @@ class TestBackward:
 
     def test_masked_attention_ignores_masked_content(self, rng):
         # causal mask: row 1 sees keys 0-1, so key 2 is masked for it; with
-        # identity rows and zero biases each head's q, k and v are its weights
+        # identity rows and no biases each head's q, k and v are its weights
         mask = np.tril(np.ones((3, 3), dtype=bool))
         row1 = Tensor(np.array([[0.0], [1.0], [0.0]]))
-        zero = Tensor(np.zeros(4))
         wq, wk, wv = (leaf(rng.normal(size=(3, 4))) for _ in range(3))
-        out = T.attention_heads(Tensor(np.eye(3)), [(wq, zero, wk, zero, wv, zero)], mask, {})
+        out = T.attention_heads(Tensor(np.eye(3)), [wq, wk, wv], None, mask, {})
         T.backward(T.tsum(out * row1))
         k2 = wk.values.copy()
         k2[2] += 100.0   # moves the masked score (1, 2)
-        moved = [(Tensor(wq.values), zero, Tensor(k2), zero, Tensor(wv.values), zero)]
-        out2 = T.attention_heads(Tensor(np.eye(3)), moved, mask, {})
+        moved = [Tensor(wq.values), Tensor(k2), Tensor(wv.values)]
+        out2 = T.attention_heads(Tensor(np.eye(3)), moved, None, mask, {})
         np.testing.assert_array_equal(out.values[1], out2.values[1])
         assert (wk.grad[2] == 0.0).all() and (wv.grad[2] == 0.0).all()
         assert (wk.grad[:2] != 0.0).any() and (wv.grad[:2] != 0.0).any()
 
 
 class TestAttention:
-    """``SelfAttention``, a one-head ``T.attention_heads`` with zero biases."""
+    """``SelfAttention``, a one-head ``T.attention_heads`` without biases."""
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_matches_the_composed_oracle_bitwise(self, rng, masked):
@@ -201,10 +200,10 @@ class TestAttention:
 
     def test_one_call_records_one_node(self, rng):
         attn = SelfAttention(rng, 4)
-        out = attn(leaf(rng.normal(size=(3, 4))), np.tril(np.ones((3, 3), dtype=bool)))
+        x = leaf(rng.normal(size=(3, 4)))
+        out = attn(x, np.tril(np.ones((3, 3), dtype=bool)))
         assert [node.op for node in T.toposort(out) if node.op != "leaf"] == ["attention_heads"]
-        T.backward(T.tsum(out))
-        assert not attn.zero.requires_grad and attn.zero.grad is None
+        assert out.parents == (x, attn.wq, attn.wk, attn.wv)
         assert sorted(attn.params()) == ["wk", "wq", "wv"]
 
 
@@ -336,6 +335,25 @@ class TestFiniteDifference:
             f, x = builder(np.random.default_rng(0))
             checked.update(node.op for node in T.toposort(f(x)))
         assert checked - {"leaf"} == recorded
+
+    def test_only_the_arithmetic_ops_wrap_raw_operands(self):
+        # scalar operands such as ``1.0 - probs`` and ``/ float(n)`` reach
+        # only these; every other primitive takes tensors as its callers pass
+        tree = ast.parse(inspect.getsource(T))
+        wrapping = set()
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    visit(child, child.name if not scope else f"{scope}.{child.name}")
+                    continue
+                if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_wrap":
+                    wrapping.add(scope)
+                visit(child, scope)
+
+        visit(tree, "")
+        assert wrapping == {"add", "sub", "mul", "div",
+                            "Tensor.__rsub__", "Tensor.__rtruediv__"}
 
 
 def hashable_seed(name):
