@@ -41,13 +41,13 @@ def main():
     banner("retrieval: which tokens does this frame evoke?")
     # A frame that looks mostly like "dog", with a hint of "park".
     frame = 0.9 * features[0] + 0.4 * features[2]
-    rows, picked = select_scene_elements(frame, table, k=3)
+    _, picked = select_scene_elements(frame[None], table, k=3)
     q = frame @ table.w_image
     keys = features @ table.w_text
     sims = keys @ q / (np.linalg.norm(q) * np.linalg.norm(keys, axis=1))
     print("frame =", np.array_str(frame, precision=2))
     for j in np.argsort(-sims):
-        marker = "<-- kept" if j in picked else ""
+        marker = "<-- kept" if j in picked[0] else ""
         print(f"  cosine({tokens[j]:<5}) = {sims[j]:+.3f} {marker}")
 
     banner("the full snippet, stream by stream")

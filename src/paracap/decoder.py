@@ -106,7 +106,7 @@ class DecoderLayer:
         weights and ``h_bar`` receive gradient from the readout path.
         """
         past = Tensor(memory.rows_block(layer_index, start, h_bar.shape[0]))
-        z = select_and_fuse(past, Tensor(h_bar.values), self.mem_attn)
+        z = select_and_fuse(past, h_bar, self.mem_attn)
         return self.mem_mlp(fuse_modalities([h_bar, z], self.mem_attn)) + h_bar
 
     def params(self) -> dict:

@@ -116,27 +116,24 @@ class VocabEmbeddingTable:
 def select_scene_elements(frames: np.ndarray, table: VocabEmbeddingTable, k: int):
     """Top-k token feature rows by cosine similarity to each frame vector.
 
-    The frames go through ``w_image`` and each token row through
+    The (S, d) frames go through ``w_image`` and each token row through
     ``w_text``; similarity is cosine in that shared space. Winners come
     back in descending-similarity order, ties toward the lower token
-    index. ``frames`` is one (d,) frame or an (S, d) matrix of them.
-    Returns ``(rows, indices)``: ``indices`` is (k,) or (S, k), and
-    ``rows`` holds the raw (unprojected) feature rows of the winners,
-    shaped like ``indices`` plus the feature axis.
+    index. Returns ``(rows, indices)``: the (S, k) token indices and the
+    winners' raw (unprojected) feature rows, (S, k, d).
     """
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim not in (1, 2) or frames.shape[-1] != table.d_feature:
-        raise ShapeError(f"frame shape {frames.shape} does not match table width "
-                         f"{table.d_feature}")
+    if frames.ndim != 2 or frames.shape[1] != table.d_feature:
+        raise ShapeError(f"frames must be (S, {table.d_feature}), got shape {frames.shape}")
     if not 1 <= k <= table.n_tokens:
         raise ValidationError(f"k={k} outside [1, {table.n_tokens}]")
-    q = frames.reshape(-1, table.d_feature) @ table.w_image
+    q = frames @ table.w_image
     keys = table.text_features @ table.w_text
     qn = np.linalg.norm(q, axis=1)
     kn = np.linalg.norm(keys, axis=1)
     denom = np.maximum(qn[:, None] * kn[None, :], 1e-12)
     sims = (q @ keys.T) / denom
-    idx = np.argsort(-sims, axis=1, kind="stable")[:, :k].reshape(frames.shape[:-1] + (k,))
+    idx = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     return table.text_features[idx], idx
 
 
@@ -150,9 +147,9 @@ def select_and_fuse(features: Tensor, reference: Tensor, attn: SelfAttention,
     graph, so gradients flow only through the surviving rows. An empty
     survivor set falls back to the single best row.
 
-    A (d,) reference gives one (d,) vector. A (g, d) reference splits the
-    g·n feature rows into g groups of n consecutive rows; row i of the
-    reference selects within group i, and the result is (g, d). Every
+    The (g, d) reference splits the g·n feature rows into g groups of n
+    consecutive rows; row i of the reference selects within group i, and
+    the result is (g, d). Only the reference's values are read. Every
     group's survivors go through one attention, masked so that rows see
     only their own group, and row i of the result is group i's mean.
     ``return_indices`` also returns the kept rows' indices into
@@ -163,14 +160,13 @@ def select_and_fuse(features: Tensor, reference: Tensor, attn: SelfAttention,
     n_rows, d = features.shape
     if n_rows == 0:
         raise ShapeError("cannot select from zero feature rows")
-    if reference.ndim not in (1, 2) or reference.shape[-1] != d:
-        raise ShapeError(f"reference must be ({d},) or (g, {d}), got shape {reference.shape}")
-    refs = reference.values.reshape(-1, d)
-    g = refs.shape[0]
+    if reference.ndim != 2 or reference.shape[1] != d:
+        raise ShapeError(f"reference must be (g, {d}), got shape {reference.shape}")
+    g = reference.shape[0]
     if g == 0 or n_rows % g:
         raise ShapeError(f"{n_rows} feature rows do not split into {g} groups")
     n = n_rows // g
-    norms = np.linalg.norm(features.values.reshape(g, n, d) + refs[:, None, :], axis=2)
+    norms = np.linalg.norm(features.values.reshape(g, n, d) + reference.values[:, None, :], axis=2)
     e = np.exp(norms - norms.max(axis=1, keepdims=True))
     scores = e / e.sum(axis=1, keepdims=True)
     keep = scores > 1.0 / n
@@ -180,7 +176,7 @@ def select_and_fuse(features: Tensor, reference: Tensor, attn: SelfAttention,
     kept = np.flatnonzero(keep)
     subset = T.take_rows(features, kept)
     if g == 1:
-        fused = T.tmean(attn(subset), axis=0, keepdims=reference.ndim == 2)
+        fused = T.tmean(attn(subset), axis=0, keepdims=True)
     else:
         group = kept // n
         same = group[:, None] == group[None, :]
@@ -199,17 +195,17 @@ def fuse_modalities(parts, attn: SelfAttention) -> Tensor:
     Each part is (S, d), row i belonging to group i. All m·S rows go
     through one attention, masked so that a row sees only its own
     group's rows, and row i of the (S, d) result is the mean of group
-    i's m outputs. A list of (d,) vectors is the one-row case and
-    gives a (d,) vector.
+    i's m outputs.
     """
     m = len(parts)
     if m < 2:
         raise ShapeError(f"fusion needs at least 2 parts, got {m}")
     shape = parts[0].shape
-    rows = T.concat(parts, axis=0) if len(shape) == 2 else T.stack(parts, axis=0)
-    s = rows.shape[0] // m
+    if len(shape) != 2 or any(p.shape != shape for p in parts):
+        raise ShapeError(f"fusion needs (S, d) parts of one shape, got {[p.shape for p in parts]}")
+    s = shape[0]
     mask = None if s == 1 else np.tile(np.eye(s, dtype=bool), (m, m))
-    return T.tmean(T.reshape(attn(rows, mask), (m,) + shape), axis=0)
+    return T.tmean(T.reshape(attn(T.concat(parts, axis=0), mask), (m,) + shape), axis=0)
 
 
 class SnippetEncoder:
@@ -251,7 +247,7 @@ class SnippetEncoder:
             members = np.flatnonzero(counts == n)
             picked = (starts[members][:, None] + np.arange(n)).ravel()
             pieces.append(select_and_fuse(T.take_rows(rows, picked),
-                                          T.take_rows(f_env, members), self.attn))
+                                          Tensor(f_env.values[members]), self.attn))
             order.append(members)
         empty = np.flatnonzero(counts == 0)
         if empty.size:

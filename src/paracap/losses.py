@@ -67,17 +67,12 @@ def repetition_penalty(probs: Tensor, targets) -> Tensor:
     targets = np.asarray(targets, dtype=np.intp)
     if probs.ndim != 2 or targets.shape != (probs.shape[0],):
         raise ShapeError(f"probs {probs.shape} do not pair with targets {targets.shape}")
-    n, v = probs.shape
-    mask = np.zeros((n, v))
-    seen = set()
-    for i in range(n):
-        for c in seen:
-            mask[i, c] = 1.0
-        t = int(targets[i])
-        if t not in PENALTY_EXCLUDES:
-            seen.add(t)
+    hits = np.zeros(probs.shape)
+    counted = np.flatnonzero(~np.isin(targets, PENALTY_EXCLUDES))
+    hits[counted, targets[counted]] = 1.0
+    mask = (np.cumsum(hits, axis=0) - hits > 0).astype(np.float64)
     inv = T.clamp_min(1.0 - probs, PROB_FLOOR)
-    return -T.tsum(Tensor(mask) * T.tlog(inv)) / float(n)
+    return -T.tsum(Tensor(mask) * T.tlog(inv)) / float(probs.shape[0])
 
 
 def captioning_loss(logits: Tensor, targets, cfg: LossConfig):
@@ -115,10 +110,6 @@ def contrastive_loss(event_embeddings: Tensor, caption_embeddings: Tensor,
     en = normalize_rows(event_embeddings)
     cn = normalize_rows(caption_embeddings)
     sims = T.matmul(en, T.transpose(cn))
-    z = sims * T.texp(rho)
-    eye = np.eye(b)
-    pos = Tensor(eye) * T.log_sigmoid(z)
-    negz = T.log_sigmoid(T.neg(z))
-    neg = Tensor(1.0 - eye) * negz
-    return -T.tsum(pos + neg) / float(b * b)
+    sign = 2.0 * np.eye(b) - 1.0   # +1 on matched pairs, -1 off them
+    return -T.tsum(T.log_sigmoid(sims * T.texp(rho) * sign)) / float(b * b)
 

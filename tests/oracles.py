@@ -115,23 +115,23 @@ def top_k_cosine_loop(frame, token_features, w_text, w_image, k):
 
 def encode_event_loop(encoder, snippets, table, k):
     """``SnippetEncoder.encode_event`` one snippet at a time: per snippet,
-    the environment row, a one-reference selection over its agents (a zero
-    vector when it has none) and over its top-k scene elements, then one
-    unmasked attention over the stacked summaries and their mean.
+    the (1, d) environment row, a one-reference selection over its agents
+    (a zero row when it has none) and over its top-k scene elements, then
+    one unmasked attention over the stacked summaries and their mean.
 
     Returns (the (S, d) snippet rows, each snippet's kept indices by site:
     ``{"agent": [...], "element": [...]}``, None for a snippet with no agents).
     """
     out, kept = [], {"agent": [], "element": []}
     for sn in snippets:
-        f_env = T.reshape(encoder.env_mlp(Tensor(sn.env.reshape(1, -1))), (encoder.d_emb,))
+        f_env = encoder.env_mlp(Tensor(sn.env.reshape(1, -1)))
         parts = []
         for m in encoder.modalities:
             if m == "env":
                 parts.append(f_env)
             elif m == "agent":
                 if sn.agents.shape[0] == 0:
-                    parts.append(Tensor(np.zeros(encoder.d_emb)))
+                    parts.append(Tensor(np.zeros((1, encoder.d_emb))))
                     kept["agent"].append(None)
                     continue
                 fused, keep = select_and_fuse(encoder.agent_mlp(Tensor(sn.agents)), f_env,
@@ -149,8 +149,8 @@ def encode_event_loop(encoder, snippets, table, k):
         if len(parts) == 1:
             out.append(parts[0])
         else:
-            out.append(T.tmean(encoder.attn(T.stack(parts, axis=0)), axis=0))
-    return T.stack(out, axis=0), kept
+            out.append(T.tmean(encoder.attn(T.concat(parts, axis=0)), axis=0, keepdims=True))
+    return T.concat(out, axis=0), kept
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +311,12 @@ def read_memory_loop(layer, h_bar, memory, layer_index, start):
     mixed, kept = [], []
     for p in range(h_bar.shape[0]):
         past = Tensor(memory.rows_block(layer_index, start + p, 1))
-        z, keep = select_and_fuse(past, Tensor(h_bar.values[p]), layer.mem_attn,
-                                  return_indices=True)
-        pair = T.concat([T.take_rows(h_bar, [p]), T.reshape(z, (1, z.shape[0]))], axis=0)
-        mixed.append(T.tmean(layer.mem_attn(pair), axis=0))
+        row = T.take_rows(h_bar, [p])
+        z, keep = select_and_fuse(past, row, layer.mem_attn, return_indices=True)
+        pair = T.concat([row, z], axis=0)
+        mixed.append(T.tmean(layer.mem_attn(pair), axis=0, keepdims=True))
         kept.append(keep)
-    return layer.mem_mlp(T.stack(mixed, axis=0)) + h_bar, kept
+    return layer.mem_mlp(T.concat(mixed, axis=0)) + h_bar, kept
 
 
 # ---------------------------------------------------------------------------

@@ -97,13 +97,13 @@ class TestCriterion2:
                                    (int(rng.integers(2, 9)), 1))
             reference = rng.normal(size=d)
             attn = SelfAttention(rng, d)
-            fused, kept = select_and_fuse(Tensor(features), Tensor(reference),
+            fused, kept = select_and_fuse(Tensor(features), Tensor(reference[None]),
                                           attn, return_indices=True)
             expected, kept_oracle = oracles.select_and_fuse_loop(
                 features, reference, attn.wq.values, attn.wk.values,
                 attn.wv.values)
             assert list(kept) == kept_oracle
-            worst = max(worst, float(np.abs(fused.values - expected).max()))
+            worst = max(worst, float(np.abs(fused.values[0] - expected).max()))
         ok = worst <= 1e-9
         _verdict(2, ok, f"100 selection instances (incl. single-row and "
                         f"identical-row fallbacks), worst |Δ| {worst:.2e}")
@@ -116,7 +116,7 @@ class TestCriterion3:
         for _ in range(100):
             d = int(rng.integers(2, 17))
             attn = SelfAttention(rng, d)
-            vectors = [Tensor(rng.normal(size=d)) for _ in range(3)]
+            vectors = [Tensor(rng.normal(size=(1, d))) for _ in range(3)]
             base = fuse_modalities(vectors, attn).values
             for perm in itertools.permutations(range(3)):
                 out = fuse_modalities([vectors[i] for i in perm], attn).values

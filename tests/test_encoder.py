@@ -28,35 +28,35 @@ class TestSelectAndFuse:
     def test_single_row_falls_back_to_that_row(self, rng):
         attn = make_attn(rng, 4)
         features = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
-        fused, kept = select_and_fuse(features, Tensor(rng.normal(size=4)),
+        fused, kept = select_and_fuse(features, Tensor(rng.normal(size=(1, 4))),
                                       attn, return_indices=True)
         np.testing.assert_array_equal(kept, [0])
         expected = attn(T.take_rows(features, [0])).values.mean(axis=0)
-        np.testing.assert_allclose(fused.values, expected, atol=1e-15)
+        np.testing.assert_allclose(fused.values[0], expected, atol=1e-15)
 
     def test_identical_rows_fall_back_to_one_row(self, rng):
         attn = make_attn(rng, 5)
         row = rng.normal(size=5)
         features = Tensor(np.tile(row, (4, 1)))
-        fused, kept = select_and_fuse(features, Tensor(rng.normal(size=5)),
+        fused, kept = select_and_fuse(features, Tensor(rng.normal(size=(1, 5))),
                                       attn, return_indices=True)
         assert kept.size == 1
 
     def test_matches_loop_oracle(self, rng):
         attn = make_attn(rng, 4)
         features = Tensor(rng.normal(size=(3, 4)))
-        reference = Tensor(rng.normal(size=4))
+        reference = Tensor(rng.normal(size=(1, 4)))
         fused, kept = select_and_fuse(features, reference, attn,
                                       return_indices=True)
         expected, kept_oracle = oracles.select_and_fuse_loop(
-            features.values, reference.values, *attn_weights(attn))
+            features.values, reference.values[0], *attn_weights(attn))
         assert list(kept) == kept_oracle
-        np.testing.assert_allclose(fused.values, expected, atol=1e-9)
+        np.testing.assert_allclose(fused.values[0], expected, atol=1e-9)
 
     def test_gradient_only_through_selected_rows(self, rng):
         attn = make_attn(rng, 4)
         features = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        fused, kept = select_and_fuse(features, Tensor(rng.normal(size=4)),
+        fused, kept = select_and_fuse(features, Tensor(rng.normal(size=(1, 4))),
                                       attn, return_indices=True)
         T.backward(T.tsum(fused))
         dropped = sorted(set(range(5)) - set(int(i) for i in kept))
@@ -68,9 +68,9 @@ class TestSelectAndFuse:
     def test_rejects_empty_and_mismatched(self, rng):
         attn = make_attn(rng, 4)
         with pytest.raises(ShapeError):
-            select_and_fuse(Tensor(np.zeros((0, 4))), Tensor(np.zeros(4)), attn)
+            select_and_fuse(Tensor(np.zeros((0, 4))), Tensor(np.zeros((1, 4))), attn)
         with pytest.raises(ShapeError):
-            select_and_fuse(Tensor(np.zeros((2, 4))), Tensor(np.zeros(3)), attn)
+            select_and_fuse(Tensor(np.zeros((2, 4))), Tensor(np.zeros((1, 3))), attn)
 
 
 class TestGroupedSelection:
@@ -99,9 +99,9 @@ class TestGroupedSelection:
         want_kept = []
         for i in range(g):
             want, keep = select_and_fuse(Tensor(features.values[i * n:(i + 1) * n]),
-                                         Tensor(reference.values[i]), attn,
+                                         Tensor(reference.values[i:i + 1]), attn,
                                          return_indices=True)
-            np.testing.assert_allclose(fused.values[i], want.values, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fused.values[i], want.values[0], rtol=0, atol=1e-12)
             want_kept.extend(i * n + keep)
             if i in tied:
                 np.testing.assert_array_equal(keep, [0])
@@ -109,15 +109,6 @@ class TestGroupedSelection:
         if len(tied) < g and n > 2:
             # the untied groups include one that keeps several rows
             assert np.bincount(kept // n, minlength=g).max() >= 2
-
-    def test_one_group_keeps_the_reference_rank(self, rng):
-        attn = make_attn(rng, 4)
-        features = Tensor(rng.normal(size=(3, 4)))
-        reference = rng.normal(size=4)
-        vector = select_and_fuse(features, Tensor(reference), attn)
-        matrix = select_and_fuse(features, Tensor(reference[None, :]), attn)
-        assert vector.shape == (4,) and matrix.shape == (1, 4)
-        np.testing.assert_array_equal(matrix.values[0], vector.values)
 
     @pytest.mark.parametrize("features, reference", [
         (np.zeros((7, 4)), np.zeros((2, 4))),      # 7 rows do not split into 2 groups
@@ -152,17 +143,17 @@ class TestSceneElements:
 
     def test_exact_match_ranks_first(self, rng):
         table = self.make_table(rng)
-        rows, idx = select_scene_elements(table.text_features[3], table, k=2)
-        assert idx[0] == 3
-        np.testing.assert_array_equal(rows[0], table.text_features[3])
+        rows, idx = select_scene_elements(table.text_features[3:4], table, k=2)
+        assert idx[0, 0] == 3
+        np.testing.assert_array_equal(rows[0, 0], table.text_features[3])
 
     def test_k_equals_m_returns_similarity_order(self, rng):
         table = self.make_table(rng)
         frame = rng.normal(size=6)
-        rows, idx = select_scene_elements(frame, table, k=8)
+        rows, idx = select_scene_elements(frame[None], table, k=8)
         expected = oracles.top_k_cosine_loop(frame, table.text_features,
                                              table.w_text, table.w_image, 8)
-        assert list(idx) == expected
+        assert list(idx[0]) == expected
 
     def test_matches_brute_force_oracle(self, rng):
         d = 6
@@ -172,11 +163,11 @@ class TestSceneElements:
                                     w_image=rng.normal(size=(d, d)))
         for _ in range(20):
             frame = rng.normal(size=d)
-            rows, idx = select_scene_elements(frame, table, k=3)
+            rows, idx = select_scene_elements(frame[None], table, k=3)
             expected = oracles.top_k_cosine_loop(frame, table.text_features,
                                                  table.w_text, table.w_image, 3)
-            assert list(idx) == expected
-            np.testing.assert_array_equal(rows, table.text_features[expected])
+            assert list(idx[0]) == expected
+            np.testing.assert_array_equal(rows[0], table.text_features[expected])
 
     @pytest.mark.parametrize("k", [1, 2, 5, 8])
     def test_matrix_matches_per_frame_calls_ties_included(self, rng, k):
@@ -194,40 +185,57 @@ class TestSceneElements:
         np.testing.assert_array_equal(idx[3], np.arange(k))
         np.testing.assert_array_equal(idx[4], [2, 5, *idx[4, 2:]][:k])
         for i, frame in enumerate(frames):
-            one_rows, one_idx = select_scene_elements(frame, table, k)
-            np.testing.assert_array_equal(idx[i], one_idx)
-            np.testing.assert_array_equal(rows[i], one_rows)
-            assert list(one_idx) == oracles.top_k_cosine_loop(
+            one_rows, one_idx = select_scene_elements(frame[None], table, k)
+            np.testing.assert_array_equal(idx[i], one_idx[0])
+            np.testing.assert_array_equal(rows[i], one_rows[0])
+            assert list(one_idx[0]) == oracles.top_k_cosine_loop(
                 frame, features, table.w_text, table.w_image, k)
 
     def test_k_out_of_range_rejected(self, rng):
         table = self.make_table(rng)
         with pytest.raises(ValidationError):
-            select_scene_elements(np.zeros(6), table, k=9)
+            select_scene_elements(np.zeros((1, 6)), table, k=9)
         with pytest.raises(ValidationError):
-            select_scene_elements(np.zeros(6), table, k=0)
+            select_scene_elements(np.zeros((1, 6)), table, k=0)
 
 
 class TestFuseModalities:
     def test_identical_inputs_collapse_to_common_output(self, rng):
         attn = make_attn(rng, 4)
-        v = Tensor(rng.normal(size=4))
+        v = Tensor(rng.normal(size=(1, 4)))
         fused = fuse_modalities([v, v, v], attn)
-        common = attn(T.stack([v, v, v], axis=0)).values[0]
-        np.testing.assert_allclose(fused.values, common, atol=1e-12)
+        common = attn(T.concat([v, v, v], axis=0)).values[0]
+        np.testing.assert_allclose(fused.values[0], common, atol=1e-12)
 
     def test_matches_loop_oracle(self, rng):
         attn = make_attn(rng, 4)
-        vecs = [Tensor(rng.normal(size=4)) for _ in range(3)]
+        vecs = [Tensor(rng.normal(size=(1, 4))) for _ in range(3)]
         fused = fuse_modalities(vecs, attn)
-        stacked = np.stack([v.values for v in vecs])
+        stacked = np.concatenate([v.values for v in vecs])
         expected = oracles.attention_loop(stacked, *attn_weights(attn)).mean(axis=0)
-        np.testing.assert_allclose(fused.values, expected, atol=1e-9)
+        np.testing.assert_allclose(fused.values[0], expected, atol=1e-9)
 
     def test_rejects_fewer_than_two(self, rng):
         attn = make_attn(rng, 4)
         with pytest.raises(ShapeError):
-            fuse_modalities([Tensor(np.zeros(4))], attn)
+            fuse_modalities([Tensor(np.zeros((1, 4)))], attn)
+
+
+class TestBatchedShapesOnly:
+    """Selection, retrieval and fusion take (rows, d) matrices; a (d,)
+    vector is rejected, not read as one row."""
+
+    @pytest.mark.parametrize("call", [
+        lambda attn, table: select_scene_elements(np.ones(4), table, 2),
+        lambda attn, table: select_and_fuse(Tensor(np.ones((3, 4))), Tensor(np.ones(4)), attn),
+        lambda attn, table: fuse_modalities([Tensor(np.ones(4))] * 2, attn),
+    ], ids=["select_scene_elements", "select_and_fuse", "fuse_modalities"])
+    def test_one_row_vector_is_rejected(self, rng, call):
+        table = VocabEmbeddingTable(tokens=[f"tok{i}" for i in range(5)],
+                                    text_features=rng.normal(size=(5, 4)),
+                                    w_text=np.eye(4), w_image=np.eye(4))
+        with pytest.raises(ShapeError):
+            call(make_attn(rng, 4), table)
 
 
 class TestSnippetEncoder:
@@ -281,8 +289,8 @@ class TestSnippetEncoder:
                                frame=rng.normal(size=6))
         out = enc.encode_event([snippet], table, k=3)
         f_env = enc.env_mlp(Tensor(snippet.env[None, :]))
-        rows, _ = select_scene_elements(snippet.frame, table, 3)
-        f_ling = enc.encode_elements(rows[None], f_env)
+        rows, _ = select_scene_elements(snippet.frame[None], table, 3)
+        f_ling = enc.encode_elements(rows, f_env)
         expected = fuse_modalities([f_env, Tensor(np.zeros((1, 8))), f_ling], enc.attn)
         np.testing.assert_array_equal(out.values, expected.values)
 
@@ -343,8 +351,7 @@ class TestBatchedEncoder:
 
         def recording(features, reference, attn):
             fused, keep = original(features, reference, attn, return_indices=True)
-            g = reference.shape[0] if reference.ndim == 2 else 1
-            calls.append((site[-1], features.shape[0] // g, keep))
+            calls.append((site[-1], features.shape[0] // reference.shape[0], keep))
             return fused
 
         def in_site(name, method):

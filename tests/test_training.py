@@ -438,6 +438,28 @@ class TestBatchLoss:
         with_con = batch_loss(model, corpus.train, forwards, vocab, LossConfig())
         assert float(with_con[0].values) == float(cap.values) + float(with_con[2].values)
 
+    @pytest.mark.parametrize("seed, snippets", [(0, 2), (1, 4)], ids=["2-snippets", "4-snippets"])
+    def test_every_recorded_node_reaches_the_loss(self, monkeypatch, seed, snippets):
+        """A node the tape records but the loss never reaches costs a
+        forward and memory, and backward skips it."""
+        corpus, vocab, model = build_setup(seed, dict(snippets_per_event=snippets))
+        records = corpus.train[:2]
+        recorded, make = [], T._make
+
+        def recording(*args):
+            out = make(*args)
+            if out.requires_grad:
+                recorded.append(out)
+            return out
+
+        monkeypatch.setattr(T, "_make", recording)
+        forwards = [model.forward_video(rec, corpus.table, vocab) for rec in records]
+        loss = batch_loss(model, records, forwards, vocab, LossConfig())[0]
+        monkeypatch.undo()
+        reached = set(T.toposort(loss))
+        assert recorded
+        assert [node.op for node in recorded if node not in reached] == []
+
 
 class TestVideoPasses:
     """A video's snippets go through the encoder in one pass, split per event."""
