@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import SnippetInput, VocabEmbeddingTable
-from .errors import ValidationError, is_finite_number, require_at_least, atomic_write
+from .errors import (ValidationError, atomic_write, is_finite_number, require_at_least,
+                     require_finite_numbers)
 
 PAD, BOS, EOS, UNK = "[PAD]", "[BOS]", "[EOS]", "[UNK]"
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
@@ -226,22 +227,25 @@ def _field(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _check_snippet(snippet: SnippetInput, widths: dict):
-    """Reject non-finite features and widths that differ from earlier snippets.
-
-    ``widths`` maps each field to its width in the file's first snippet; an
-    empty agents list carries no width.
-    """
+def _read_snippet(raw: dict, widths: dict) -> SnippetInput:
+    """Snippet from its JSON fields; every entry must be a finite number and
+    each width the one ``widths`` holds from the file's first snippet (an
+    empty agents list carries no width)."""
+    for name, values in raw.items():
+        require_finite_numbers(values, name)
+    agents = np.asarray(raw["agents"], dtype=np.float64)
+    if agents.ndim == 1 and agents.size == 0:
+        agents = agents.reshape(0, 0)
+    snippet = SnippetInput(env=raw["env"], agents=agents, frame=raw["frame"])
     for name in ("env", "agents", "frame"):
         values = getattr(snippet, name)
-        if not np.isfinite(values).all():
-            raise ValidationError(f"{name} holds a non-finite value")
         if name == "agents" and values.shape[0] == 0:
             continue
         width = widths.setdefault(name, values.shape[-1])
         if values.shape[-1] != width:
             raise ValidationError(f"{name} has width {values.shape[-1]}, "
                                   f"earlier snippets have {width}")
+    return snippet
 
 
 def load_manifest(path: str) -> list:
@@ -277,18 +281,11 @@ def load_manifest(path: str) -> list:
                     raise ValidationError(f"{ewhere}: snippets must be a non-empty list")
                 for si, rsn in enumerate(raw_snips):
                     swhere = f"{ewhere} snippet {si}"
-                    raw_agents = _field(rsn, "agents", swhere)
-                    raw_env = _field(rsn, "env", swhere)
-                    raw_frame = _field(rsn, "frame", swhere)
+                    raw = {name: _field(rsn, name, swhere) for name in ("agents", "env", "frame")}
                     try:
-                        agents = np.asarray(raw_agents, dtype=np.float64)
-                        if agents.ndim == 1 and agents.size == 0:
-                            agents = agents.reshape(0, 0)
-                        snippet = SnippetInput(env=raw_env, agents=agents, frame=raw_frame)
-                        _check_snippet(snippet, widths)
+                        snippets.append(_read_snippet(raw, widths))
                     except (TypeError, ValueError) as exc:
                         raise ValidationError(f"{swhere}: {exc}") from None
-                    snippets.append(snippet)
                 times = {key: _field(rev, key, ewhere) for key in ("begin", "end")}
                 for key, value in times.items():
                     if not is_finite_number(value):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError, ValidationError, read_json_object, atomic_write
+from .errors import (ShapeError, ValidationError, atomic_write, read_json_object,
+                     require_finite_numbers)
 from .nn import MLP, SelfAttention, collect_params
 from .tensor import Tensor
 
@@ -67,10 +68,6 @@ class VocabEmbeddingTable:
         self.text_features = np.asarray(self.text_features, dtype=np.float64)
         self.w_text = np.asarray(self.w_text, dtype=np.float64)
         self.w_image = np.asarray(self.w_image, dtype=np.float64)
-        for key, values in (("text_features", self.text_features), ("W_t", self.w_text),
-                            ("W_i", self.w_image)):
-            if not np.isfinite(values).all():
-                raise ValidationError(f"{key} holds a non-finite value")
         if self.text_features.ndim != 2:
             raise ValidationError(f"text_features must be (m, d), got {self.text_features.shape}")
         if len(self.tokens) != self.text_features.shape[0]:
@@ -106,6 +103,10 @@ class VocabEmbeddingTable:
     @classmethod
     def load(cls, path: str) -> "VocabEmbeddingTable":
         payload = read_json_object(path, "table", ("tokens", "text_features", "W_t", "W_i"))
+        if type(payload["tokens"]) is not list or set(map(type, payload["tokens"])) - {str}:
+            raise ValidationError(f"{path}: tokens must be a list of strings")
+        for key in ("text_features", "W_t", "W_i"):
+            require_finite_numbers(payload[key], f"{path}: {key}")
         try:
             return cls(tokens=payload["tokens"], text_features=payload["text_features"],
                        w_text=payload["W_t"], w_image=payload["W_i"])

@@ -66,6 +66,15 @@ def is_finite_number(v) -> bool:
         return False
 
 
+def require_finite_numbers(values, where: str):
+    """Reject a JSON list, or list of lists, unless every entry is a finite number."""
+    for row in values if type(values) is list else [values]:
+        for v in row if type(row) is list else [row]:
+            if not is_finite_number(v):
+                raise ValidationError(f"{where} holds a non-finite value: "
+                                      f"{v!r} is not a finite number")
+
+
 # JSON values each field type takes: bools are not numbers, and every int
 # field is a size, a count or a seed
 _ACCEPTS = {

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import BOS_ID, EOS_ID, PAD_ID
+from .data import PAD_ID
 from .errors import NumericalError, ShapeError, ValidationError, require_at_least
 from .tensor import Tensor
 
@@ -16,7 +16,6 @@ from .tensor import Tensor
 RHO_INIT = float(np.log(1.0 / 0.07))
 LABEL_SMOOTHING = 0.1
 PROB_FLOOR = 1e-8                 # keeps log(1 - p) finite as p -> 1
-PENALTY_EXCLUDES = (PAD_ID, BOS_ID, EOS_ID)   # ids repetition is never punished for
 
 
 @dataclass
@@ -29,7 +28,7 @@ class LossConfig:
 
 
 def smoothed_cross_entropy(logits: Tensor, targets, smoothing: float) -> Tensor:
-    """Label-smoothed cross-entropy, averaged over non-pad target positions.
+    """Label-smoothed cross-entropy, averaged over the target positions.
 
     The smoothing mass is spread over the vocabulary minus the pad class,
     so the pad column never receives probability in the target
@@ -41,35 +40,28 @@ def smoothed_cross_entropy(logits: Tensor, targets, smoothing: float) -> Tensor:
     n, v = logits.shape
     if v < 2:
         raise ShapeError(f"need at least 2 classes, got {v}")
-    if targets.size and (targets.min() < 0 or targets.max() >= v):
-        raise ValidationError(f"target id out of range [0, {v})")
-    valid = targets != PAD_ID
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise ValidationError("all target positions are padding")
-    q = np.zeros((n, v))
-    k = v - 1
-    q[valid] = smoothing / k
-    q[valid, PAD_ID] = 0.0
-    q[np.flatnonzero(valid), targets[valid]] += 1.0 - smoothing
+    if not n or targets.min() < 0 or targets.max() >= v:
+        raise ValidationError(f"targets must be a non-empty list of ids in [0, {v})")
+    q = np.full((n, v), smoothing / (v - 1))
+    q[:, PAD_ID] = 0.0
+    q[np.arange(n), targets] += 1.0 - smoothing
     lp = T.log_softmax(logits)
-    return -T.tsum(Tensor(q) * lp) / float(n_valid)
+    return -T.tsum(Tensor(q) * lp) / float(n)
 
 
 def repetition_penalty(probs: Tensor, targets) -> Tensor:
     """Penalty for re-predicting tokens the reference already used.
 
-    At position i the candidate set is the distinct target tokens from
-    positions before i, minus ``PENALTY_EXCLUDES``; the penalty is the
-    mean over positions of the summed -log(1 - p) mass the model still
-    places on those candidates.
+    At position i the candidates are the distinct targets before i; a
+    caption's targets hold no ``[PAD]`` or ``[BOS]`` and end in their one
+    ``[EOS]``, so none of the three is ever a candidate. The penalty is the
+    mean over positions of -log(1 - p) summed over the candidates.
     """
     targets = np.asarray(targets, dtype=np.intp)
     if probs.ndim != 2 or targets.shape != (probs.shape[0],):
         raise ShapeError(f"probs {probs.shape} do not pair with targets {targets.shape}")
     hits = np.zeros(probs.shape)
-    counted = np.flatnonzero(~np.isin(targets, PENALTY_EXCLUDES))
-    hits[counted, targets[counted]] = 1.0
+    hits[np.arange(len(targets)), targets] = 1.0
     mask = (np.cumsum(hits, axis=0) - hits > 0).astype(np.float64)
     inv = T.clamp_min(1.0 - probs, PROB_FLOOR)
     return -T.tsum(Tensor(mask) * T.tlog(inv)) / float(probs.shape[0])

@@ -171,8 +171,8 @@ class CaptionModel:
             if len(token_ids) == 0:
                 raise ValidationError("cannot embed an empty caption")
             words = T.tmean(self.caption_word_embed(token_ids), axis=0, keepdims=True)
-            rows.append(T.reshape(self.caption_mlp(words), (self.config.d_emb,)))
-        return T.stack(rows, axis=0)
+            rows.append(self.caption_mlp(words))
+        return T.concat(rows, axis=0)
 
     def decode_video(self, record, table: VocabEmbeddingTable,
                      max_len: int = None) -> list:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from paracap import tensor as T
-from paracap.data import BOS_ID, EOS_ID
+from paracap.data import BOS_ID, EOS_ID, PAD_ID
 from paracap.encoder import select_and_fuse
 from paracap.tensor import Tensor
 from paracap.training import BETA1, BETA2, EPS, WEIGHT_DECAY
@@ -157,30 +157,25 @@ def encode_event_loop(encoder, snippets, table, k):
 # losses
 
 
-def smoothed_ce_loop(logits, targets, smoothing, pad_id):
+def smoothed_ce_loop(logits, targets, smoothing):
     """Label-smoothed cross-entropy; smoothing mass over non-pad classes."""
     logits = np.asarray(logits, dtype=np.float64)
     n, v = logits.shape
     total = 0.0
-    n_valid = 0
     for i in range(n):
-        if targets[i] == pad_id:
-            continue
-        n_valid += 1
         log_probs = [math.log(p) for p in softmax_loop(logits[i])]
-        q = [0.0 if c == pad_id else smoothing / (v - 1) for c in range(v)]
+        q = [0.0 if c == PAD_ID else smoothing / (v - 1) for c in range(v)]
         q[targets[i]] += 1.0 - smoothing
         total -= sum(q[c] * log_probs[c] for c in range(v))
-    return total / n_valid
+    return total / n
 
 
-def tau_loop(probs, targets, excludes, floor=1e-8):
+def tau_loop(probs, targets, floor=1e-8):
     probs = np.asarray(probs, dtype=np.float64)
     n = len(targets)
     total = 0.0
     for i in range(n):
-        history = set(targets[:i]) - set(excludes)
-        for c in history:
+        for c in set(targets[:i]):
             total += math.log(max(floor, 1.0 - probs[i][c]))
     return -total / n
 

@@ -298,6 +298,26 @@ class TestTrain:
                      "--out", str(tmp_path / "run")]) == 2
         assert "nan.jsonl:2 event 0 snippet 1: frame" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [True, "0.5", 10 ** 400],
+                             ids=["true", "string", "huge-int"])
+    @pytest.mark.parametrize("field", ["env", "agents", "frame"])
+    def test_manifest_feature_that_is_not_a_number_is_rejected(
+            self, data_dir, tmp_path, field, value):
+        # bools and numeric strings are not converted, and an int beyond the
+        # float range is named instead of raising OverflowError in training
+        def edit(video):
+            snippet = video["events"][0]["snippets"][1]
+            entries = snippet["agents"][0] if field == "agents" else snippet[field]
+            entries[0] = value
+        manifest = edited_manifest(data_dir, tmp_path / "bad.jsonl", edit)
+        code, err = run_main(["train", "--manifest", manifest,
+                              "--table", str(data_dir / "table.json"),
+                              "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"bad.jsonl:2 event 0 snippet 1: {field} holds" in err
+        assert "is not a finite number" in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("where", ["event 0", "event 0 snippet 0"])
     def test_non_object_manifest_entry_is_rejected(self, data_dir, tmp_path,
                                                    capsys, where):
@@ -541,6 +561,35 @@ class TestEvalAndDecode:
             assert main([command] + args) == 2
             err = capsys.readouterr().err
             assert "bad.json" in err and message in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("tokens", "string"), ("tokens", 5), ("text_features", True),
+        ("text_features", "0.5"), ("text_features", 10 ** 400), ("W_t", True),
+        ("W_t", "0.5"), ("W_t", 10 ** 400), ("W_i", True), ("W_i", "0.5"),
+        ("W_i", 10 ** 400),
+    ], ids=lambda v: "huge-int" if v == 10 ** 400 else str(v))
+    def test_table_value_of_the_wrong_type_is_rejected(self, run_dir, data_dir,
+                                                       tmp_path, key, value):
+        # the table is read as it is: no string split into one token per
+        # character, and no bool, numeric string or out-of-range int turned
+        # into a float
+        table = json.loads((data_dir / "table.json").read_text())
+        if value == "string":
+            table["tokens"] = "x" * len(table["tokens"])
+        elif key == "tokens":
+            table["tokens"][1] = value
+        else:
+            table[key][1][0] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(table))
+        for command in ("eval", "decode"):
+            out = tmp_path / "out"
+            args = self.eval_args(run_dir, data_dir, out)
+            args[args.index("--table") + 1] = str(bad)
+            code, err = run_main([command] + args)
+            assert code == 2
+            assert f"bad.json: {key} " in err
             assert not out.exists()
 
     def test_table_with_fewer_tokens_than_k_is_rejected(self, run_dir, data_dir,

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from paracap import tensor as T
+from paracap.data import EOS_ID
 from paracap.errors import NumericalError, ShapeError, ValidationError
 from paracap.losses import (PROB_FLOOR, LossConfig, captioning_loss,
                             contrastive_loss, normalize_rows, repetition_penalty,
@@ -41,20 +42,15 @@ class TestSmoothedCrossEntropy:
     @pytest.mark.parametrize("smoothing", [0.0, 0.1, 0.5])
     def test_matches_loop_oracle(self, rng, smoothing):
         logits = Tensor(rng.normal(size=(6, 7)))
-        targets = np.array([3, 0, 5, 1, 0, 6])
+        # a caption's targets: non-reserved ids, then its one EOS
+        targets = np.array([4, 6, 5, 4, 6, EOS_ID])
         loss = smoothed_cross_entropy(logits, targets, smoothing)
-        want = oracles.smoothed_ce_loop(logits.values, targets, smoothing, 0)
+        want = oracles.smoothed_ce_loop(logits.values, targets, smoothing)
         assert loss.item() == pytest.approx(want, rel=1e-12)
 
-    def test_pad_positions_contribute_nothing(self, rng):
-        logits = rng.normal(size=(3, 5))
-        full = smoothed_cross_entropy(Tensor(logits), [4, 0, 2], 0.1)
-        trimmed = smoothed_cross_entropy(Tensor(logits[[0, 2]]), [4, 2], 0.1)
-        assert full.item() == pytest.approx(trimmed.item(), rel=1e-12)
-
-    def test_all_padding_rejected(self):
+    def test_empty_targets_rejected(self):
         with pytest.raises(ValidationError):
-            smoothed_cross_entropy(Tensor(np.zeros((2, 4))), [0, 0], 0.1)
+            smoothed_cross_entropy(Tensor(np.zeros((0, 4))), [], 0.1)
 
     def test_target_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
@@ -78,10 +74,6 @@ class TestRepetitionPenalty:
         probs = Tensor(np.full((1, 4), 0.25))
         assert repetition_penalty(probs, [3]).item() == 0.0
 
-    def test_excluded_ids_build_no_history(self):
-        probs = Tensor(np.full((4, 4), 0.25))
-        assert repetition_penalty(probs, [1, 2, 0, 1]).item() == 0.0
-
     def test_uniform_hand_value(self):
         # Three positions, uniform 1/8 probabilities, non-reserved targets:
         # history sizes 0, 1, 2 give 0 - log(7/8) - 2 log(7/8), and the
@@ -93,9 +85,9 @@ class TestRepetitionPenalty:
     def test_matches_loop_oracle(self, rng):
         raw = rng.uniform(0.05, 1.0, size=(6, 8))
         probs = raw / raw.sum(axis=1, keepdims=True)
-        targets = np.array([5, 3, 5, 0, 7, 4])
+        targets = np.array([5, 4, 5, 7, 4, EOS_ID])
         tau = repetition_penalty(Tensor(probs), targets)
-        want = oracles.tau_loop(probs, targets, (0, 1, 2))
+        want = oracles.tau_loop(probs, targets)
         assert tau.item() == pytest.approx(want, rel=1e-12)
 
     def test_floor_keeps_certain_repetition_finite(self):

@@ -1,18 +1,23 @@
 """Optimizer, training loop, logging, determinism, and evaluation plumbing."""
 
+import copy
 import gc
 import json
+import string
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import build_setup
 from paracap import gradcheck, training
 from paracap import metrics as M
 from paracap import tensor as T
-from paracap.data import tokenize
+from paracap.data import (ACTION_WORDS, AGENT_WORDS, BOS_ID, EOS_ID, PAD_ID, PLACE_WORDS,
+                          tokenize)
 from paracap.decoder import EventMemory
 from paracap.errors import NumericalError, ValidationError
 from paracap.losses import LossConfig
@@ -489,6 +494,44 @@ class TestVideoPasses:
             assert got.shape == want.shape
             np.testing.assert_allclose(got.values, want.values, rtol=0,
                                        atol=1e-12 * np.abs(want.values).max())
+
+
+# caption words: world words (in and out of a small world's vocabulary),
+# reserved-token look-alikes and free text, each maybe wrapped in punctuation
+_punct = st.text(alphabet=string.punctuation, max_size=2)
+_word = st.one_of(
+    st.sampled_from(AGENT_WORDS + ACTION_WORDS + PLACE_WORDS + ("the", "in")),
+    st.sampled_from(["[PAD]", "[pad]", "[bos]", "[BOS]", "(EOS)", "[EOS]", "[UNK]",
+                     "<pad>", "PAD", "eos"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Z", "C")), min_size=1,
+            max_size=5))
+_caption = st.lists(st.tuples(_punct, _word, _punct).map("".join),
+                    max_size=8).map(" ".join)
+
+
+class TestCaptionTargets:
+    """The caption losses take targets as ``forward_video`` builds them and
+    hold no padding mask or reserved-id exclusions, which is sound only if
+    those targets never hold ``[PAD]`` or ``[BOS]`` and end in their one
+    ``[EOS]``, whatever the caption text."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        corpus, vocab, model = build_setup()
+        return corpus.table, vocab, model, copy.deepcopy(corpus.train[0])
+
+    @settings(deadline=None)
+    @given(captions=st.tuples(_caption, _caption))
+    def test_targets_hold_no_pad_or_bos_and_end_in_one_eos(self, world, captions):
+        table, vocab, model, rec = world
+        for event, caption in zip(rec.events, captions, strict=True):
+            event.caption = caption
+        with T.no_grad():
+            targets = model.forward_video(rec, table, vocab).targets
+        for ids, caption in zip(targets, captions):
+            assert PAD_ID not in ids and BOS_ID not in ids
+            assert list(ids).count(EOS_ID) == 1 and ids[-1] == EOS_ID
+            assert len(ids) == len(tokenize(caption)) + 1
 
 
 class TestEvaluation:
