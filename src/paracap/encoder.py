@@ -138,6 +138,16 @@ def select_scene_elements(frames: np.ndarray, table: VocabEmbeddingTable, k: int
     return table.text_features[idx], idx
 
 
+def selection_scores(features: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Per group, the softmax of the row norms of ``features[i] + reference``:
+    (g, n) from (g·n, d) feature rows in g groups of n and a (g, d) reference."""
+    g, d = reference.shape
+    shifted = features.reshape(g, -1, d) + reference[:, None, :]
+    norms = np.sqrt((shifted * shifted).sum(axis=2))   # what np.linalg.norm(axis=2) computes
+    e = np.exp(norms - norms.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def select_and_fuse(features: Tensor, reference: Tensor, attn: SelfAttention,
                     return_indices: bool = False):
     """Hard selection of salient rows against a reference, then attention fusion.
@@ -167,9 +177,7 @@ def select_and_fuse(features: Tensor, reference: Tensor, attn: SelfAttention,
     if g == 0 or n_rows % g:
         raise ShapeError(f"{n_rows} feature rows do not split into {g} groups")
     n = n_rows // g
-    norms = np.linalg.norm(features.values.reshape(g, n, d) + reference.values[:, None, :], axis=2)
-    e = np.exp(norms - norms.max(axis=1, keepdims=True))
-    scores = e / e.sum(axis=1, keepdims=True)
+    scores = selection_scores(features.values, reference.values)
     keep = scores > 1.0 / n
     empty = ~keep.any(axis=1)
     if empty.any():

@@ -145,10 +145,26 @@ def _primitive_cases():
         x = Tensor(rng.normal(size=(5,)), requires_grad=True)
         return lambda x: T.tsum(T.log_sigmoid(x) * w), x
 
-    def case_gelu(rng):
-        w = _weights(rng, (3, 4))
+    def case_gelu_mlp(rng):
+        # x stands in for the input rows, then for w1, then for w2, then (as
+        # a vector) for both biases
+        def draw(*shapes):
+            return [_weights(rng, shape) for shape in shapes]
+
+        w1, b1, w2, b2 = draw((4, 5), (5,), (5, 2), (2,))
+        rows_b, b1_b, w2_b, b2_b = draw((2, 3), (4,), (4, 2), (2,))
+        rows_c, w1_c, b1_c, b2_c = draw((2, 2), (2, 3), (3,), (4,))
+        rows_d, w1_d, w2_d = draw((2, 2), (2, 12), (12, 12))
+        out_a, out_b, out_c, out_d = draw((3, 2), (2, 2), (2, 4), (2, 12))
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        return lambda x: T.tsum(T.gelu(x) * w), x
+
+        def f(x):
+            flat = T.reshape(x, (12,))
+            return (T.tsum(T.mlp(x, w1, b1, w2, b2) * out_a)
+                    + T.tsum(T.mlp(rows_b, x, b1_b, w2_b, b2_b) * out_b)
+                    + T.tsum(T.mlp(rows_c, w1_c, b1_c, x, b2_c) * out_c)
+                    + T.tsum(T.mlp(rows_d, w1_d, flat, w2_d, flat) * out_d))
+        return f, x
 
     def case_attention_heads(rng):
         # x stands in for the input rows, then for head 1's wq, then (as a
@@ -172,6 +188,20 @@ def _primitive_cases():
             return (T.tsum(T.attention_heads(x, *first, causal[:3, :3], {}) * w_a)
                     + T.tsum(T.attention_heads(rows_b, b_weights, second[1], causal, {}) * w_b)
                     + T.tsum(T.attention_heads(rows_c, third[0], c_biases, None, {}) * w_c))
+        return f, x
+
+    def case_linear(rng):
+        # x stands in for the input rows, then for the weights, then (as a
+        # vector) for the bias
+        w, b, out_a = (_weights(rng, shape) for shape in ((4, 2), (2,), (3, 2)))
+        rows_b, b_b, out_b = (_weights(rng, shape) for shape in ((2, 3), (4,), (2, 4)))
+        rows_c, w_c, out_c = (_weights(rng, shape) for shape in ((2, 5), (5, 12), (2, 12)))
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+
+        def f(x):
+            return (T.tsum(T.linear(x, w, b) * out_a)
+                    + T.tsum(T.linear(rows_b, x, b_b) * out_b)
+                    + T.tsum(T.linear(rows_c, w_c, T.reshape(x, (12,))) * out_c))
         return f, x
 
     def case_clamp_min(rng):
@@ -203,9 +233,11 @@ def _primitive_cases():
         x = Tensor(rng.uniform(0.5, 1.5, size=(4,)), requires_grad=True)
         return lambda x: T.tsum(T.layer_norm(h, x, bias) * w), x
 
-    # a case draws its inputs from its list position, so the attention case
-    # goes after the sorted ones and leaves the earlier cases' inputs as they were
-    late = [("attention_heads", case_attention_heads)]
+    # a case draws its inputs from its list position, so the attention and
+    # linear cases go after the sorted ones, and the MLP case, the check of
+    # the gelu, sorts into the place of the gelu case it replaced: the
+    # other cases' inputs stay as they were
+    late = [("attention_heads", case_attention_heads), ("linear", case_linear)]
     cases = [(name[5:], fn) for name, fn in sorted(locals().items())
              if name.startswith("case_") and (name[5:], fn) not in late]
     return cases + late

@@ -22,28 +22,29 @@ def _init(rng: np.random.Generator, shape) -> Tensor:
 
 
 class Linear:
-    """Affine map y = x W + b over the rows of a matrix."""
+    """Affine map y = x W + b over the rows of a matrix; one ``T.linear`` node."""
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int):
         self.w = _init(rng, (d_in, d_out))
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.w) + self.b
+        return T.linear(x, self.w, self.b)
 
     def params(self) -> dict:
         return {"w": self.w, "b": self.b}
 
 
 class MLP:
-    """Two affine maps around a gelu; the standard position-wise feed-forward."""
+    """Two affine maps around a gelu, the standard position-wise feed-forward;
+    one ``T.mlp`` node."""
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_hidden: int, d_out: int):
         self.lin1 = Linear(rng, d_in, d_hidden)
         self.lin2 = Linear(rng, d_hidden, d_out)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(T.gelu(self.lin1(x)))
+        return T.mlp(x, self.lin1.w, self.lin1.b, self.lin2.w, self.lin2.b)
 
     def params(self) -> dict:
         return collect_params([("lin1", self.lin1), ("lin2", self.lin2)])

@@ -6,10 +6,11 @@ the output, so the graph reachable from a scalar is a ready-made dynamic
 tape: :func:`backward` walks it once in reverse topological order and
 accumulates exact analytic gradients into every ``requires_grad`` leaf.
 
-Everything runs eagerly in float64. The one fused op, :func:`attention_heads`,
-repeats the numpy calls of the primitives it stands for; there is no graph
-compilation and no hidden precision loss, which keeps central-difference
-verification (:func:`finite_diff_check`) meaningful down to ~1e-9.
+Everything runs eagerly in float64. The fused ops, :func:`linear`,
+:func:`mlp` and :func:`attention_heads`, repeat the numpy calls of the
+primitives they stand for; there is no graph compilation and no hidden
+precision loss, which keeps central-difference verification
+(:func:`finite_diff_check`) meaningful down to ~1e-9.
 
 Forward and backward are bit-deterministic for a fixed graph: traversal
 order depends only on graph structure, and gradient accumulation happens
@@ -253,11 +254,20 @@ def neg(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra and shape plumbing
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _check_matmul(a: np.ndarray, b: np.ndarray):
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
+
+
+def _check_bias(b: Tensor, w: Tensor):
+    if b.values.shape != w.values.shape[1:]:
+        raise ShapeError(f"bias shape {b.values.shape} does not match weight shape {w.shape}")
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    _check_matmul(a.values, b.values)
     out = a.values @ b.values
 
     def bw(g, a=a, b=b):
@@ -265,6 +275,55 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, a.values.T @ g)
 
     return _make(out, "matmul", (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` over the rows of a matrix, as one node.
+
+    Forward and backward repeat the numpy calls of ``matmul`` then ``add``
+    (the bias gradient is ``add``'s broadcast reduction, a sum over rows),
+    so values and gradients are bitwise equal to that composition's.
+    """
+    _check_matmul(x.values, w.values)
+    _check_bias(b, w)
+    out = x.values @ w.values + b.values
+
+    def bw(g, x=x, w=w, b=b):
+        _accum(b, g.sum(axis=0))
+        _accum(x, g @ w.values.T)
+        _accum(w, x.values.T @ g)
+
+    return _make(out, "linear", (x, w, b), bw)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Position-wise feed-forward ``gelu(x @ w1 + b1) @ w2 + b2`` as one
+    node, with the exact-erf gelu (smooth, so finite differences agree).
+
+    Forward and backward repeat the numpy calls of the ``linear``, gelu,
+    ``linear`` composition in its order, so values and gradients are
+    bitwise equal to it.
+    """
+    _check_matmul(x.values, w1.values)
+    _check_bias(b1, w1)
+    pre = x.values @ w1.values + b1.values
+    _check_matmul(pre, w2.values)
+    _check_bias(b2, w2)
+    cdf = 0.5 * (1.0 + erf(pre * _INV_SQRT2))
+    hidden = pre * cdf
+    out = hidden @ w2.values + b2.values
+
+    def bw(g, x=x, w1=w1, b1=b1, w2=w2, b2=b2, pre=pre, cdf=cdf, hidden=hidden):
+        _accum(b2, g.sum(axis=0))
+        gh = g @ w2.values.T
+        _accum(w2, hidden.T @ g)
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * pre * pre)
+        gpre = gh * (cdf + pre * pdf)
+        _accum(b1, gpre.sum(axis=0))
+        _accum(x, gpre @ w1.values.T)
+        _accum(w1, x.values.T @ gpre)
+
+    return _make(out, "mlp", (x, w1, b1, w2, b2), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -293,9 +352,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
     out = np.concatenate([t.values for t in tensors], axis=axis)
 
     def bw(g, tensors=tensors, axis=axis):
-        splits = np.cumsum([t.values.shape[axis] for t in tensors])[:-1]
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
+        index = [slice(None)] * g.ndim
+        end = 0
+        for t in tensors:
+            start, end = end, end + t.values.shape[axis]
+            index[axis] = slice(start, end)
+            _accum(t, g[tuple(index)])
 
     return _make(out, "concat", tensors, bw)
 
@@ -413,18 +475,6 @@ def log_sigmoid(a: Tensor) -> Tensor:
     return _make(out, "log_sigmoid", (a,), bw)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Exact-erf gaussian error linear unit; smooth, so finite differences agree."""
-    cdf = 0.5 * (1.0 + erf(a.values * _INV_SQRT2))
-    out = a.values * cdf
-
-    def bw(g, a=a, cdf=cdf):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * a.values * a.values)
-        _accum(a, g * (cdf + a.values * pdf))
-
-    return _make(out, "gelu", (a,), bw)
-
-
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     """max(x, floor); the gradient stops where the floor is active."""
 
@@ -478,10 +528,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     if gain.values.shape != (n,) or bias.values.shape != (n,):
         raise ShapeError(f"layer_norm affine shapes {gain.values.shape}/{bias.values.shape} "
                          f"do not match axis extent {n}")
-    mu = x.values.mean(axis=-1, keepdims=True)
-    var = x.values.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x.values - mu) * inv
+    # the sums and divisions of ndarray.mean and ndarray.var, without their Python wrappers
+    centred = x.values - x.values.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / n + LN_EPS)
+    xhat = centred * inv
     out = xhat * gain.values + bias.values
 
     def bw(g, x=x, gain=gain, bias=bias, inv=inv, xhat=xhat):
@@ -489,8 +539,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         _accum(gain, (g * xhat).sum(axis=reduce_axes))
         _accum(bias, g.sum(axis=reduce_axes))
         dxhat = g * gain.values
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = dxhat.sum(axis=-1, keepdims=True) / n
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
         _accum(x, inv * (dxhat - m1 - xhat * m2))
 
     return _make(out, "layer_norm", (x, gain, bias), bw)

@@ -10,6 +10,7 @@ Tests freeze agreement between the two.
 import math
 
 import numpy as np
+from scipy.special import erf
 
 from paracap import tensor as T
 from paracap.data import BOS_ID, EOS_ID, PAD_ID
@@ -59,18 +60,42 @@ def attention_composed(q, k, v, mask=None):
     return T.matmul(T.softmax(scores), v)
 
 
+def linear_composed(x, lin):
+    """``nn.Linear`` as two tape primitives: ``matmul`` then the bias ``add``."""
+    return T.add(T.matmul(x, lin.w), lin.b)
+
+
+def gelu_node(a):
+    """The exact-erf gelu as its own tape node."""
+    cdf = 0.5 * (1.0 + erf(a.values * T._INV_SQRT2))
+    out = a.values * cdf
+
+    def bw(g, a=a, cdf=cdf):
+        pdf = T._INV_SQRT2PI * np.exp(-0.5 * a.values * a.values)
+        T._accum(a, g * (cdf + a.values * pdf))
+
+    return T._make(out, "gelu", (a,), bw)
+
+
+def mlp_composed(x, mlp):
+    """``nn.MLP`` as its composition: ``linear_composed``, ``gelu_node``,
+    ``linear_composed``."""
+    return linear_composed(gelu_node(linear_composed(x, mlp.lin1)), mlp.lin2)
+
+
 def masked_multi_head_loop(block, x, mask, cache):
     """``MaskedMultiHeadAttention`` as a per-head loop of tape primitives:
-    three ``Linear``s and one ``attention_composed`` per head, the head concat,
-    then ``wo``. ``cache`` maps each head to its (keys, values) tensors."""
+    three ``linear_composed`` maps and one ``attention_composed`` per head,
+    the head concat, then ``wo``. ``cache`` maps each head to its (keys,
+    values) tensors."""
     heads = []
     for h in range(block.n_heads):
-        k, v = block.wk[h](x), block.wv[h](x)
+        k, v = linear_composed(x, block.wk[h]), linear_composed(x, block.wv[h])
         if h in cache:
             k, v = T.concat([cache[h][0], k]), T.concat([cache[h][1], v])
         cache[h] = (k, v)
-        heads.append(attention_composed(block.wq[h](x), k, v, mask))
-    return block.wo(T.concat(heads, axis=1))
+        heads.append(attention_composed(linear_composed(x, block.wq[h]), k, v, mask))
+    return linear_composed(T.concat(heads, axis=1), block.wo)
 
 
 def select_and_fuse_loop(features, reference, wq, wk, wv):
@@ -87,6 +112,34 @@ def select_and_fuse_loop(features, reference, wq, wk, wv):
         kept = [max(range(n), key=lambda i: scores[i])]
     fused_rows = attention_loop(features[kept], wq, wk, wv)
     return fused_rows.mean(axis=0), kept
+
+
+def layer_norm_numpy(x, gain, bias):
+    """``T.layer_norm`` as a tape node built on ``ndarray.mean`` and ``ndarray.var``."""
+    mu = x.values.mean(axis=-1, keepdims=True)
+    var = x.values.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + T.LN_EPS)
+    xhat = (x.values - mu) * inv
+    out = xhat * gain.values + bias.values
+
+    def bw(g, x=x, gain=gain, bias=bias, inv=inv, xhat=xhat):
+        reduce_axes = tuple(range(g.ndim - 1))
+        T._accum(gain, (g * xhat).sum(axis=reduce_axes))
+        T._accum(bias, g.sum(axis=reduce_axes))
+        dxhat = g * gain.values
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        T._accum(x, inv * (dxhat - m1 - xhat * m2))
+
+    return T._make(out, "layer_norm", (x, gain, bias), bw)
+
+
+def selection_scores_linalg(features, reference):
+    """``encoder.selection_scores`` with ``np.linalg.norm`` for the row norms."""
+    g, d = reference.shape
+    norms = np.linalg.norm(features.reshape(g, -1, d) + reference[:, None, :], axis=2)
+    e = np.exp(norms - norms.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def layer_norm_loop(x, gain, bias, eps=1e-5):

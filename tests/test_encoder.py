@@ -121,6 +121,17 @@ class TestGroupedSelection:
             select_and_fuse(Tensor(features), Tensor(reference), make_attn(rng, 4))
 
 
+class TestSelectionScores:
+    @pytest.mark.parametrize("g,n,d,scale", [(1, 1, 3, 1.0), (1, 7, 5, 1.0), (4, 3, 8, 1.0),
+                                             (6, 5, 16, 1e3), (3, 4, 2, 1e-3)])
+    def test_norms_are_bitwise_linalg_norm(self, rng, g, n, d, scale):
+        features = rng.normal(scale=scale, size=(g * n, d))
+        reference = rng.normal(scale=scale, size=(g, d))
+        np.testing.assert_array_equal(
+            encoder_module.selection_scores(features, reference),
+            oracles.selection_scores_linalg(features, reference))
+
+
 class TestLayerShapes:
     @pytest.mark.parametrize("make", [
         lambda rng: Linear(rng, 4, 3),

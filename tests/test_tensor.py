@@ -9,8 +9,9 @@ import oracles
 from paracap import gradcheck
 from paracap import tensor as T
 from paracap.errors import NumericalError, ShapeError
-from paracap.nn import MaskedMultiHeadAttention, SelfAttention
+from paracap.nn import MLP, Linear, MaskedMultiHeadAttention, SelfAttention
 from paracap.tensor import Tensor
+from paracap.training import AdamState
 
 
 def leaf(values):
@@ -102,8 +103,10 @@ class TestForwardValues:
         np.testing.assert_array_equal(x.grad, np.zeros((1, 3)))
 
     def test_gelu_matches_erf_form(self, rng):
-        x = rng.normal(size=5)
-        out = T.gelu(Tensor(x))
+        # identity maps and zero biases leave the MLP's activation alone
+        x = rng.normal(size=(1, 5))
+        eye, zero = Tensor(np.eye(5)), Tensor(np.zeros(5))
+        out = T.mlp(Tensor(x), eye, zero, eye, zero)
         expected = x * 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
         np.testing.assert_allclose(out.values, expected, atol=1e-15)
 
@@ -250,11 +253,11 @@ class TestAttentionHeads:
         assert cache["k"].shape == cache["v"].shape == (2, 6, 12)
         np.testing.assert_allclose(step.values[0], full.values[5], rtol=1e-12, atol=0)
 
-    def test_one_block_call_records_three_nodes(self, rng):
+    def test_one_block_call_records_two_nodes(self, rng):
         block = jittered_block(rng, 32, 4)
         out = block(leaf(rng.normal(size=(5, 32))), None, {})
         ops = sorted(node.op for node in T.toposort(out) if node.op != "leaf")
-        assert ops == ["add", "attention_heads", "matmul"]
+        assert ops == ["attention_heads", "linear"]
 
     def test_cached_call_refused_while_recording(self, rng):
         block = jittered_block(rng, 8, 2)
@@ -274,6 +277,98 @@ class TestAttentionHeads:
                 block(Tensor(rng.normal(size=(cached_rows, 8))), None, cache)
             with pytest.raises(ShapeError):
                 block(Tensor(rng.normal(size=(3, 8))), np.ones(shape, dtype=bool), cache)
+
+
+class TestFusedAffine:
+    """``T.linear`` and ``T.mlp`` against the compositions they replaced."""
+
+    @pytest.mark.parametrize("zeroed", [False, True], ids=["fresh", "zeroed"])
+    @pytest.mark.parametrize("layer", ["linear", "mlp"])
+    def test_matches_the_composition_bitwise(self, rng, layer, zeroed):
+        """Values and the gradients of x and every parameter, accumulated
+        into fresh leaf grads or into pre-zeroed views of one buffer (as
+        training's ``AdamState`` sets them up)."""
+        module = Linear(rng, 6, 4) if layer == "linear" else MLP(rng, 6, 12, 4)
+        composed = oracles.linear_composed if layer == "linear" else oracles.mlp_composed
+        for p in module.params().values():
+            p.values = rng.normal(0.0, 0.5, size=p.shape)
+        x = leaf(rng.normal(size=(5, 6)))
+        params = [x] + list(module.params().values())
+        ws = [Tensor(rng.normal(size=(5, 4))) for _ in range(3)]
+
+        def run(apply):
+            T.zero_grads(params)
+            if zeroed:
+                AdamState({str(i): p for i, p in enumerate(params)})
+            # three uses, so every gradient sums three contributions
+            outs = [apply(x) for _ in ws]
+            total = T.tsum(outs[0] * ws[0])
+            for out, w in zip(outs[1:], ws[1:]):
+                total = total + T.tsum(out * w)
+            T.backward(total)
+            return [outs[0].values] + [p.grad.copy() for p in params]
+
+        for got, want in zip(run(module), run(lambda t: composed(t, module))):
+            np.testing.assert_array_equal(got, want)
+
+    def test_one_call_records_one_node(self, rng):
+        x = leaf(rng.normal(size=(3, 4)))
+        for module, op in ((Linear(rng, 4, 2), "linear"), (MLP(rng, 4, 8, 2), "mlp")):
+            out = module(x)
+            assert [node.op for node in T.toposort(out) if node.op != "leaf"] == [op]
+            assert out.parents == (x, *module.params().values())
+
+    @pytest.mark.parametrize("bias_shape", [(1, 2), (3, 2), (3,)])
+    def test_bias_must_match_the_weight_columns(self, rng, bias_shape):
+        x, w, b = Tensor(np.ones((3, 4))), Tensor(np.ones((4, 2))), Tensor(np.ones(bias_shape))
+        with pytest.raises(ShapeError, match="bias"):
+            T.linear(x, w, b)
+        with pytest.raises(ShapeError, match="bias"):
+            T.mlp(x, w, Tensor(np.ones(2)), Tensor(np.ones((2, 2))), b)
+
+    def test_mlp_hidden_width_must_match(self):
+        x = Tensor(np.ones((3, 4)))
+        with pytest.raises(ShapeError, match=r"inner extents"):
+            T.mlp(x, Tensor(np.ones((4, 5))), Tensor(np.ones(5)),
+                  Tensor(np.ones((6, 2))), Tensor(np.ones(2)))
+
+
+class TestLayerNormSums:
+    """``T.layer_norm``'s hand-written sums against ``ndarray.mean``/``.var``."""
+
+    # a width of 6, where dividing by it and multiplying by its reciprocal differ
+    @pytest.mark.parametrize("case", ["vector", "rows", "constant-rows", "offset-rows"])
+    def test_matches_the_numpy_methods_bitwise(self, rng, case):
+        if case == "vector":
+            x_values = rng.normal(size=6)
+        else:
+            x_values = rng.normal(size=(5, 6))
+            if case == "constant-rows":
+                x_values[1] = 4.2
+                x_values[3] = -1e6
+            elif case == "offset-rows":
+                x_values = 1e6 + x_values
+        x, gain, bias = leaf(x_values), leaf(rng.normal(size=6)), leaf(rng.normal(size=6))
+        w = Tensor(rng.normal(size=x_values.shape))
+        results = []
+        for norm in (T.layer_norm, oracles.layer_norm_numpy):
+            T.zero_grads([x, gain, bias])
+            out = norm(x, gain, bias)
+            T.backward(T.tsum(out * w))
+            results.append([out.values, x.grad, gain.grad, bias.grad])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestConcatBackward:
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_pieces_match_np_split(self, rng, axis):
+        extents = [2, 1, 3]
+        parts = [leaf(rng.normal(size=(e, 4) if axis == 0 else (4, e))) for e in extents]
+        w = rng.normal(size=(6, 4) if axis == 0 else (4, 6))
+        T.backward(T.tsum(T.concat(parts, axis=axis) * Tensor(w)))
+        for part, piece in zip(parts, np.split(w, np.cumsum(extents)[:-1], axis=axis)):
+            np.testing.assert_array_equal(part.grad, piece)
 
 
 class TestFiniteDifference:
