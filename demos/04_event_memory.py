@@ -1,9 +1,11 @@
 """What the event memory stores, and which way information flows.
 
-The decoder narrates a video one event at a time. After each event it
-freezes a copy of that event's per-layer hidden states into a memory;
-later events read those copies through the same selection-and-attention
-machinery the encoder uses. Two properties make this a one-way street:
+The decoder narrates a video event by event. It freezes a copy of each
+event's per-layer hidden states into a memory; later events read those
+copies through the same selection-and-attention machinery the encoder
+uses. A row at position p reads only position p of the earlier events,
+so greedy decoding runs all of a video's events in lockstep. Two
+properties make the memory a one-way street:
 
 * Later events never change what was said about earlier ones.
 * Gradients from a later event stop at the frozen copies instead of
@@ -43,12 +45,13 @@ def main():
     rng = np.random.default_rng(99)
     events = [Tensor(rng.normal(size=(2, D))) for _ in range(3)]
 
-    banner("memory grows by one entry per finished event")
+    banner("one lockstep call decodes every event and stores each one")
     memory = EventMemory(LAYERS)
-    for i, rows in enumerate(events):
-        said = greedy_decode(dec, rows, memory, max_len=5)
-        print(f"  event {i}: said tokens {said};  memory now holds "
-              f"{len(memory)} event(s) x {LAYERS} layers")
+    said, _ = greedy_decode(dec, events, memory, max_len=5)
+    for i, tokens in enumerate(said):
+        print(f"  event {i}: said tokens {tokens};  stored "
+              f"{memory.lengths[i]} rows x {LAYERS} layers")
+    print(f"  memory now holds {len(memory)} event(s)")
 
     banner("earlier events steer later ones")
     rows2 = events[2]

@@ -178,12 +178,10 @@ class CaptionModel:
                      max_len: int = None) -> list:
         """Greedy captions for each event, as token-id lists without bos/eos."""
         max_len = self.config.max_len if max_len is None else max_len
-        memory = EventMemory(self.config.n_layers)
-        out = []
         with T.no_grad():
-            for video_rows in self.encode_video(record, table):
-                out.append(greedy_decode(self.decoder, video_rows, memory, max_len))
-        return out
+            ids, _ = greedy_decode(self.decoder, self.encode_video(record, table),
+                                   EventMemory(self.config.n_layers), max_len)
+        return ids
 
     def check_inputs(self, records, table: VocabEmbeddingTable, vocab: Vocabulary,
                      teacher_forced: bool = False):

@@ -14,7 +14,7 @@ from scipy.special import erf
 
 from paracap import tensor as T
 from paracap.data import BOS_ID, EOS_ID, PAD_ID
-from paracap.encoder import select_and_fuse
+from paracap.encoder import fuse_modalities, select_and_fuse
 from paracap.tensor import Tensor
 from paracap.training import BETA1, BETA2, EPS, WEIGHT_DECAY
 
@@ -335,11 +335,11 @@ def greedy_decode_full(decoder, video_rows, memory, max_len):
 
 
 def padded_rows_block(events, layer, start, s):
-    """``EventMemory.rows_block`` over the padded store: every event's rows
-    at ``layer`` padded with its last row to the longest event, stacked as
-    one (positions, events, d) array, positions clamped to the longest
-    event, and one gather. ``events`` holds each event's per-layer (s, d)
-    arrays in the order they were stored.
+    """``EventMemory.rows_block`` over a padded copy of the store: every
+    event's rows at ``layer`` padded with its last row to the longest
+    event, stacked as one (positions, events, d) array, positions clamped
+    to the longest event, and one gather. ``events`` holds each event's
+    per-layer (s, d) arrays in the order they were stored.
     """
     layers = [event[layer] for event in events]
     n = max(rows.shape[0] for rows in layers)
@@ -349,22 +349,75 @@ def padded_rows_block(events, layer, start, s):
     return store[positions].reshape(s * len(layers), store.shape[2])
 
 
-def read_memory_loop(layer, h_bar, memory, layer_index, start):
-    """``DecoderLayer.read_memory`` one position at a time: per row, a
-    one-reference selection over the stored events' rows at that position,
-    then a two-row attention over (state, readout) and its mean.
+def read_memory_loop(layer, h_bar, memory, layer_index, events, positions):
+    """``DecoderLayer.read_memory`` one row at a time: a row of event 0
+    passes through; any other row runs a one-reference selection over the
+    earlier events' rows at its position, then a two-row attention over
+    (state, readout), its mean and the MLP.
 
-    Returns (the readout rows, each position's kept event indices).
+    Returns (the rows, each read row's kept event indices).
     """
-    mixed, kept = [], []
+    out, kept = [], []
     for p in range(h_bar.shape[0]):
-        past = Tensor(memory.rows_block(layer_index, start + p, 1))
         row = T.take_rows(h_bar, [p])
+        if events[p] == 0:
+            out.append(row)
+            continue
+        past = Tensor(memory.rows_block(layer_index, events[p], positions[p:p + 1]))
         z, keep = select_and_fuse(past, row, layer.mem_attn, return_indices=True)
-        pair = T.concat([row, z], axis=0)
-        mixed.append(T.tmean(layer.mem_attn(pair), axis=0, keepdims=True))
+        mixed = T.tmean(layer.mem_attn(T.concat([row, z], axis=0)), axis=0, keepdims=True)
+        out.append(layer.mem_mlp(mixed) + row)
         kept.append(keep)
-    return layer.mem_mlp(T.concat(mixed, axis=0)) + h_bar, kept
+    return T.concat(out, axis=0), kept
+
+
+def greedy_decode_events(decoder, videos, stored, max_len):
+    """Greedy decoding of a video's events one after another, as the
+    cached decoder ran before events moved in lockstep.
+
+    Per event: the snippet rows and BOS run as one call, then each
+    generated id as one row, attending to the keys and values every layer
+    cached for the event's earlier rows. Each layer's readout selects
+    among the earlier events' rows at the row's position
+    (``padded_rows_block``). ``stored`` holds the earlier events'
+    per-layer (s, d) arrays; each decoded event's ``h_bar`` rows of
+    [snippets, BOS, tokens, EOS], or [snippets, BOS, tokens] at the cap,
+    are appended to it. Returns, per event, the ids without BOS or the
+    trailing EOS and the logit rows they were picked from.
+    """
+    out, picked = [], []
+    no_rows = Tensor(np.zeros((0, decoder.d)))
+    with T.no_grad():
+        for video_rows in videos:
+            n_video = video_rows.shape[0]
+            caches = [{} for _ in decoder.layers]
+            states = [[] for _ in decoder.layers]   # per layer, the h_bar rows so far
+
+            def feed(rows, token, mask, start):
+                positions = np.arange(start, start + rows.shape[0] + 1)
+                h = decoder.build_input(rows, [token], positions)
+                for i, layer in enumerate(decoder.layers):
+                    h_bar = h = layer.inner(h, mask, caches[i])
+                    states[i].append(h_bar.values)
+                    if stored:
+                        past = Tensor(padded_rows_block(stored, i, start, h_bar.shape[0]))
+                        z = select_and_fuse(past, h_bar, layer.mem_attn)
+                        h = layer.mem_mlp(fuse_modalities([h_bar, z], layer.mem_attn)) + h_bar
+                return h
+
+            causal = np.tril(np.ones((n_video + 1, n_video + 1), dtype=bool))
+            causal[:, :n_video] = True
+            ids, rows = [], []
+            h = feed(video_rows, BOS_ID, causal, 0)
+            while not ids or (ids[-1] != EOS_ID and len(ids) < max_len):
+                logits = decoder.head(T.take_rows(h, [h.shape[0] - 1])).values[0]
+                rows.append(logits)
+                ids.append(int(np.argmax(logits)))
+                h = feed(no_rows, ids[-1], None, n_video + len(ids))
+            stored.append([np.concatenate(layer_rows, axis=0) for layer_rows in states])
+            out.append(ids[:-1] if ids[-1] == EOS_ID else ids)
+            picked.append(np.array(rows))
+    return out, picked
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from conftest import build_setup
 from paracap import decoder, gradcheck
 from paracap import tensor as T
 from paracap.data import BOS_ID, EOS_ID, Vocabulary
-from paracap.decoder import (CaptionDecoder, DecoderLayer, EventMemory, causal_join_mask,
-                             greedy_decode)
+from paracap.decoder import CaptionDecoder, DecoderLayer, EventMemory, event_mask, greedy_decode
 from paracap.encoder import select_and_fuse
 from paracap.errors import ShapeError, ValidationError
 from paracap.model import CaptionModel
@@ -41,7 +40,16 @@ def video_block(seed, n_rows):
     return Tensor(rng.normal(size=(n_rows, D)))
 
 
+def causal_join_mask(n_video, n_text):
+    """``event_mask`` over one event's [snippet rows; text rows]."""
+    positions = np.arange(n_video + n_text)
+    events = np.zeros(positions.size, dtype=np.intp)
+    return event_mask(events, positions, events, positions, positions >= n_video)
+
+
 class TestCausalJoinMask:
+    """The mask builder's one-event form: the causal join."""
+
     def test_hand_written_two_video_three_text(self):
         expected = np.array([
             [1, 1, 0, 0, 0],
@@ -69,6 +77,38 @@ class TestCausalJoinMask:
             assert row[:nv].all()
             np.testing.assert_array_equal(
                 row[nv:], np.arange(nt) <= j)
+
+
+class TestEventMask:
+    def test_rows_never_see_another_events_keys(self):
+        rng = np.random.default_rng(3)
+        key_events = rng.integers(0, 3, size=12)
+        key_positions = rng.integers(0, 6, size=12)
+        key_text = rng.random(12) < 0.5
+        events, positions = rng.integers(0, 3, size=7), rng.integers(0, 6, size=7)
+        mask = event_mask(events, positions, key_events, key_positions, key_text)
+        assert mask.shape == (7, 12)
+        for i in range(7):
+            for j in range(12):
+                want = key_events[j] == events[i] and (not key_text[j]
+                                                       or key_positions[j] <= positions[i])
+                assert mask[i, j] == want
+
+    def test_a_decoding_step_over_a_joint_cache(self):
+        # cached: event 0's 2 snippets and BOS, event 1's snippet and BOS;
+        # this step: event 0 feeds its first id, event 2 its 3 snippets and BOS
+        key_events = np.array([0, 0, 0, 1, 1, 0, 2, 2, 2, 2])
+        key_positions = np.array([0, 1, 2, 0, 1, 3, 0, 1, 2, 3])
+        key_text = np.array([0, 0, 1, 0, 1, 1, 0, 0, 0, 1], dtype=bool)
+        mask = event_mask(key_events[5:], key_positions[5:], key_events, key_positions,
+                          key_text)
+        np.testing.assert_array_equal(mask, np.array([
+            [1, 1, 1, 0, 0, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 1, 1, 1, 0],
+            [0, 0, 0, 0, 0, 0, 1, 1, 1, 0],
+            [0, 0, 0, 0, 0, 0, 1, 1, 1, 0],
+            [0, 0, 0, 0, 0, 0, 1, 1, 1, 1],
+        ], dtype=bool))
 
 
 class TestEventMemory:
@@ -102,7 +142,7 @@ class TestEventMemory:
             memory.append([self.entry(3, 1), Tensor(np.zeros((0, D)))])
         assert len(memory) == 0
         memory.append([self.entry(2, 1), self.entry(2, 2)])
-        np.testing.assert_array_equal(memory.rows_block(1, 0, 2), np.full((2, D), 2.0))
+        np.testing.assert_array_equal(memory.rows_block(1, 1, np.arange(2)), np.full((2, D), 2.0))
 
     def test_rows_at_clamps_shorter_events(self):
         memory = EventMemory(1)
@@ -110,7 +150,7 @@ class TestEventMemory:
         long = Tensor(np.arange(5.0 * D).reshape(5, D) + 100.0)
         memory.append([short])
         memory.append([long])
-        rows = memory.rows_block(0, 3, 2)   # positions 3 and 4, position-major
+        rows = memory.rows_block(0, 2, np.array([3, 4]))   # position-major
         np.testing.assert_array_equal(rows, [short.values[1], long.values[3],
                                              short.values[1], long.values[4]])
 
@@ -119,7 +159,7 @@ class TestEventMemory:
         state = Tensor(np.ones((3, D)))
         memory.append([state])
         state.values[:] = -7.0
-        np.testing.assert_array_equal(memory.rows_block(0, 0, 1),
+        np.testing.assert_array_equal(memory.rows_block(0, 1, np.array([0])),
                                       np.ones((1, D)))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -138,9 +178,36 @@ class TestEventMemory:
             for layer in range(n_layers):
                 for start in range(longest + 3):   # the last starts pass every event's end
                     for s in range(1, 9):
-                        np.testing.assert_array_equal(
-                            memory.rows_block(layer, start, s),
-                            oracles.padded_rows_block(events, layer, start, s))
+                        positions = np.arange(start, start + s)
+                        for n in range(1, len(events) + 1):   # the first n events
+                            np.testing.assert_array_equal(
+                                memory.rows_block(layer, n, positions),
+                                oracles.padded_rows_block(events[:n], layer, start, s))
+
+    def test_rows_written_one_at_a_time_equal_an_appended_event(self):
+        rng = np.random.default_rng(8)
+        whole, grown = EventMemory(2), EventMemory(2)
+        events = [[rng.normal(size=(n, D)) for _ in range(2)] for n in (3, 9, 1, 20)]
+        for event in events:
+            whole.append([Tensor(rows) for rows in event])
+        first = grown.add(np.zeros(len(events), dtype=np.intp))
+        for p in range(20):   # position by position, the store growing as it fills
+            for e, event in enumerate(events):
+                if p < len(event[0]):
+                    for layer in range(2):
+                        grown.write(layer, np.array([first + e]), np.array([p]),
+                                    event[layer][p:p + 1])
+                    grown.lengths[first + e] = p + 1
+        np.testing.assert_array_equal(grown.lengths, whole.lengths)
+        for layer in range(2):
+            np.testing.assert_array_equal(grown.rows_block(layer, 4, np.arange(22)),
+                                          whole.rows_block(layer, 4, np.arange(22)))
+
+    def test_append_rejects_layers_of_different_lengths(self):
+        memory = EventMemory(2)
+        with pytest.raises(ShapeError, match="one shape"):
+            memory.append([self.entry(3, 1), self.entry(2, 1)])
+        assert len(memory) == 0
 
 
 class TestForwardEvent:
@@ -152,7 +219,7 @@ class TestForwardEvent:
                                             update_memory=False)
 
         mask = causal_join_mask(2, 3)
-        h = dec.build_input(vid, ids)
+        h = dec.build_input(vid, ids, np.arange(5))
         for layer in dec.layers:
             h = layer.inner(h, mask, {})
         want_logits = dec.head(T.take_rows(h, np.arange(2, 5)))
@@ -164,11 +231,12 @@ class TestForwardEvent:
         dec = make_decoder()
         vid = video_block(2, 2)
         ids = [BOS_ID, 5]
-        out = dec.build_input(vid, ids)
+        positions = np.array([0, 1, 6, 3])   # any positions, in any order
+        out = dec.build_input(vid, ids, positions)
 
         text = dec.text_mlp(dec.word_embed(np.array(ids))).values
         types = dec.type_embed.table.values
-        pos = dec.pos_embed.table.values
+        pos = dec.pos_embed.table.values[positions]
         for i in range(2):
             np.testing.assert_array_equal(out.values[i],
                                           (vid.values[i] + types[0]) + pos[i])
@@ -322,13 +390,16 @@ class TestMemoryReadout:
                 layer, memory = jittered_layer(seed), ragged_memory(seed + 1, n_events)
                 h_bar = Tensor(rng.normal(size=(s, D)), requires_grad=True)
                 weights = rng.normal(size=(s, D))
+                events, positions = np.full(s, n_events), np.arange(start, start + s)
                 with T.no_grad() if not grad else contextlib.nullcontext():
                     got, got_grads = self.readout_and_grads(
-                        layer, h_bar, weights, lambda: layer.read_memory(h_bar, memory, 0, start))
+                        layer, h_bar, weights,
+                        lambda: layer.read_memory(h_bar, memory, 0, events, positions))
                     loop_kept = []
 
                     def loop():
-                        out, kept = oracles.read_memory_loop(layer, h_bar, memory, 0, start)
+                        out, kept = oracles.read_memory_loop(layer, h_bar, memory, 0, events,
+                                                             positions)
                         loop_kept.extend(kept)
                         return out
 
@@ -351,8 +422,10 @@ class TestMemoryReadout:
         h_bar = Tensor(rng.normal(size=(s, D)), requires_grad=True)
         weights = rng.normal(size=(s, D))
 
+        events, positions = np.full(s, n_events), np.arange(start, start + s)
+
         def f(_):
-            return T.tsum(layer.read_memory(h_bar, memory, 0, start) * weights)
+            return T.tsum(layer.read_memory(h_bar, memory, 0, events, positions) * weights)
 
         f(None)
         assert np.bincount(kept_rows[-1] // n_events, minlength=s).max() >= 2
@@ -362,6 +435,35 @@ class TestMemoryReadout:
             assert T.finite_diff_check(f, x) <= gradcheck.PRIMITIVE_TOL, name
 
 
+    @pytest.mark.parametrize("grad", [True, False], ids=["tape", "no_grad"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_of_several_events_match_the_loop_oracle(self, seed, grad, kept_rows):
+        # rows of events 0-4 in one pass, as a lockstep decoding step feeds
+        # them: event 0 reads nothing, event e the memory's first e events
+        rng = np.random.default_rng(seed)
+        layer, memory = jittered_layer(seed), ragged_memory(seed + 1, 4)
+        counts = rng.integers(0 if seed % 2 else 1, 4, size=5)   # rows per event
+        counts[-1] = max(counts[-1], 1)   # a pass of event 0 alone skips the readout
+        events = np.repeat(np.arange(5), counts)
+        positions = rng.integers(0, 10, size=events.size)
+        h_bar = Tensor(rng.normal(size=(events.size, D)), requires_grad=True)
+        weights = rng.normal(size=(events.size, D))
+        with T.no_grad() if not grad else contextlib.nullcontext():
+            got, got_grads = self.readout_and_grads(
+                layer, h_bar, weights,
+                lambda: layer.read_memory(h_bar, memory, 0, events, positions))
+            selections = len(kept_rows)
+            want, want_grads = self.readout_and_grads(
+                layer, h_bar, weights,
+                lambda: oracles.read_memory_loop(layer, h_bar, memory, 0, events, positions)[0])
+        assert selections == np.count_nonzero(counts[1:])   # one per event that reads
+        assert_close(got, want)
+        np.testing.assert_array_equal(got[:counts[0]], h_bar.values[:counts[0]])
+        assert sorted(got_grads) == sorted(want_grads)
+        for name, g in got_grads.items():
+            assert_close(g, want_grads[name])
+
+
 class TestGreedyDecode:
     def test_eos_dominant_head_yields_empty_caption(self):
         dec = make_decoder()
@@ -369,29 +471,33 @@ class TestGreedyDecode:
         dec.head.b.values[:] = 0.0
         dec.head.b.values[EOS_ID] = 5.0
         memory = EventMemory(2)
-        out = greedy_decode(dec, video_block(13, 2), memory, 6)
-        assert out == []
-        assert len(memory) == 1
+        out, logits = greedy_decode(dec, [video_block(13, 2), video_block(17, 3)], memory, 6)
+        assert out == [[], []]
+        assert [rows.shape for rows in logits] == [(1, VOCAB), (1, VOCAB)]
+        assert len(memory) == 2
+        np.testing.assert_array_equal(memory.lengths, [4, 5])   # snippets, BOS and EOS
 
     def test_all_equal_logits_tie_break_to_lowest_id(self):
         dec = make_decoder()
         dec.head.w.values[:] = 0.0
         dec.head.b.values[:] = 0.0
-        out = greedy_decode(dec, video_block(14, 2), EventMemory(2), 3)
-        assert out == [0, 0, 0]
+        out, _ = greedy_decode(dec, [video_block(14, 2)], EventMemory(2), 3)
+        assert out == [[0, 0, 0]]
 
     def test_decoding_is_deterministic(self):
         dec = make_decoder(seed=3)
-        vid = video_block(15, 2)
-        first = greedy_decode(dec, vid, EventMemory(2), 5)
-        second = greedy_decode(dec, vid, EventMemory(2), 5)
+        videos = [video_block(15, 2), video_block(18, 1)]
+        first, first_logits = greedy_decode(dec, videos, EventMemory(2), 5)
+        second, second_logits = greedy_decode(dec, videos, EventMemory(2), 5)
         assert first == second
-        assert len(first) <= 5
+        for a, b in zip(first_logits, second_logits):
+            np.testing.assert_array_equal(a, b)
+        assert all(len(ids) <= 5 for ids in first)
 
     def test_rejects_nonpositive_max_len(self):
         dec = make_decoder()
         with pytest.raises(ValidationError):
-            greedy_decode(dec, video_block(16, 2), EventMemory(2), 0)
+            greedy_decode(dec, [video_block(16, 2)], EventMemory(2), 0)
 
 
 def eos_at(seed, n_video, n_tokens, max_pos=16):
@@ -414,7 +520,8 @@ def eos_at(seed, n_video, n_tokens, max_pos=16):
 def committed(memory, n_rows):
     """Each layer's rows of the last event stored in ``memory``."""
     n = len(memory)
-    return [memory.rows_block(layer, 0, n_rows)[n - 1::n] for layer in range(memory.n_layers)]
+    return [memory.rows_block(layer, n, np.arange(n_rows))[n - 1::n]
+            for layer in range(memory.n_layers)]
 
 
 def assert_close(got, want, tol=1e-12):
@@ -423,7 +530,8 @@ def assert_close(got, want, tol=1e-12):
 
 class TestIncrementalDecode:
     """The cached decoder against the full-recompute oracle, over videos of
-    three events that end with EOS, at the cap, and at once."""
+    three events, each decoded by its own call, that end with EOS, at the
+    cap, and at once."""
 
     MAX_LEN = 5
     ENDINGS = (2, None, 0)   # tokens before EOS; None: the cap ends the caption
@@ -437,17 +545,7 @@ class TestIncrementalDecode:
             vid = video_block(10 * video_seed + i, n_video)
             dec = eos_at(seed, n_video, ending)
             before = copy.deepcopy(memory)
-
-            head, rows = dec.head, []
-
-            def recording_head(x):
-                out = head(x)
-                rows.append(out.values[-1])
-                return out
-
-            dec.head = recording_head
-            ids = greedy_decode(dec, vid, memory, self.MAX_LEN)
-            dec.head = head
+            (ids,), (rows,) = greedy_decode(dec, [vid], memory, self.MAX_LEN)
             # the oracle commits forward_event(..., update_memory=True) on
             # [BOS] + ids (+ EOS) to its copy of the memory
             replay = copy.deepcopy(before)
@@ -461,11 +559,12 @@ class TestIncrementalDecode:
                 assert_close(got_row, want_row)
             assert len(memory) == len(replay) == i + 1
             n_rows = n_video + 1 + len(ids) + (ending is not None)
+            assert memory.lengths[-1] == replay.lengths[-1] == n_rows
             for got, want_layer in zip(committed(memory, n_rows), committed(replay, n_rows)):
                 assert_close(got, want_layer)
             # and no row past them: rows_block repeats an event's last row
-            np.testing.assert_array_equal(memory.rows_block(0, n_rows, 1)[-1],
-                                          memory.rows_block(0, n_rows - 1, 1)[-1])
+            np.testing.assert_array_equal(memory.rows_block(0, i + 1, np.array([n_rows]))[-1],
+                                          memory.rows_block(0, i + 1, np.array([n_rows - 1]))[-1])
 
     def test_row_count_bound_is_the_one_check_inputs_uses(self):
         # with no EOS an event takes a row per snippet, BOS and max_len tokens
@@ -488,6 +587,97 @@ class TestIncrementalDecode:
                 model.check_inputs(corpus.held_out, corpus.table, vocab)
                 captions = model.decode_video(corpus.held_out[0], corpus.table)
                 assert [len(c) for c in captions] == [max_len] * len(captions)
+
+
+def stored_events(memory):
+    """Each stored event's per-layer rows."""
+    return [[memory.rows[layer, e, :memory.lengths[e]] for layer in range(memory.n_layers)]
+            for e in range(len(memory))]
+
+
+class TestLockstepDecode:
+    """A video's events decoded in lockstep against the oracle that decodes
+    them one after another."""
+
+    MAX_LEN = 5
+
+    @staticmethod
+    def case(seed, n_events):
+        """A decoder, ``n_events`` videos of 1-4 snippet rows and 0-2 prior
+        events of 1-8 rows. The decoder's EOS spike (see ``eos_at``) sits
+        at one position in 1-7, so events of different snippet counts stop
+        at different steps: at once, after some tokens, or at the cap."""
+        rng = np.random.default_rng(seed)
+        dec = eos_at(seed, 0, int(rng.integers(1, 8)))
+        videos = [video_block(1000 * seed + e, int(rng.integers(1, 5))) for e in range(n_events)]
+        prior = [[rng.normal(size=(n, D)) for _ in range(2)]
+                 for n in rng.integers(1, 9, size=rng.integers(0, 3))]
+        return dec, videos, prior
+
+    def run_both(self, dec, videos, prior):
+        memory = EventMemory(2)
+        for event in prior:
+            memory.append([Tensor(rows) for rows in event])
+        got = greedy_decode(dec, videos, memory, self.MAX_LEN)
+        stored = [list(event) for event in prior]
+        want = oracles.greedy_decode_events(dec, videos, stored, self.MAX_LEN)
+        assert memory.lengths.tolist() == [len(event[0]) for event in stored]
+        return got, want, stored_events(memory), stored
+
+    def test_matches_the_one_after_another_oracle(self):
+        lengths, priors, waits = set(), set(), 0
+        for seed in range(40):
+            n_events = 1 + seed % 5
+            dec, videos, prior = self.case(seed, n_events)
+            (ids, logits), (want_ids, want_logits), rows, want_rows = self.run_both(dec, videos,
+                                                                                 prior)
+            assert ids == want_ids
+            for got, want in zip(logits, want_logits):
+                assert got.shape == want.shape
+                assert_close(got, want)
+            for got_event, want_event in zip(rows, want_rows):
+                for got, want in zip(got_event, want_event):
+                    assert got.shape == want.shape
+                    assert_close(got, want)
+            lengths.update(len(seq) for seq in ids)
+            priors.add(len(prior))
+            counts = [v.shape[0] for v in videos]
+            waits += any(b > a for i, a in enumerate(counts) for b in counts[i + 1:])
+        # empty captions, captions at the cap and in between; 0-2 prior
+        # events; events that wait for an earlier one with fewer snippets
+        assert {0, self.MAX_LEN} < lengths
+        assert priors == {0, 1, 2}
+        assert waits >= 10
+
+    def test_one_event_call_is_bitwise_the_oracle(self):
+        for seed in range(30):
+            dec, videos, prior = self.case(seed, 1)
+            (ids, logits), (want_ids, want_logits), rows, want_rows = self.run_both(dec, videos,
+                                                                                 prior)
+            assert ids == want_ids
+            np.testing.assert_array_equal(logits[0], want_logits[0])
+            for got_event, want_event in zip(rows, want_rows):
+                for got, want in zip(got_event, want_event):
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("counts, passes", [((2, 2, 2, 2), 1 + MAX_LEN),
+                                                ((3, 2, 1), 1 + MAX_LEN),
+                                                ((1, 3), 2 + 1 + MAX_LEN),
+                                                ((3, 1, 2), 1 + 1 + MAX_LEN)])
+    def test_an_event_waits_only_for_earlier_events_with_fewer_snippets(self, counts, passes,
+                                                                         monkeypatch):
+        dec = eos_at(4, 0, None)   # every caption runs to the cap
+        calls = []
+        run_layers = dec.run_layers
+        monkeypatch.setattr(dec, "run_layers",
+                            lambda *args: calls.append(args[-2]) or run_layers(*args))
+        videos = [video_block(40 + i, n) for i, n in enumerate(counts)]
+        ids, _ = greedy_decode(dec, videos, EventMemory(2), self.MAX_LEN)
+        assert [len(seq) for seq in ids] == [self.MAX_LEN] * len(counts)
+        assert len(calls) == passes
+        # the event with 3 snippets starts once the one with 1 reaches position 3
+        if counts == (1, 3):
+            assert calls[2].max() == 3 and calls[1].max() == 2
 
 
 class TestCheckpoint:

@@ -401,7 +401,8 @@ class TestBatchLoss:
     @staticmethod
     def stored(memory):
         # per layer, each event's state rows
-        return [[event[layer] for event in memory._events] for layer in range(memory.n_layers)]
+        return [[memory.rows[layer, e, :memory.lengths[e]] for e in range(len(memory))]
+                for layer in range(memory.n_layers)]
 
     def test_frozen_memory_is_live_memory_at_the_evaluation_point(self, world):
         model, record, table, vocab, base = world
