@@ -3,8 +3,9 @@
 A :class:`Tensor` wraps a numpy array plus a lazily allocated gradient
 buffer. Every operation records its parent nodes and a backward closure on
 the output, so the graph reachable from a scalar is a ready-made dynamic
-tape: :func:`backward` walks it once in reverse topological order and
-accumulates exact analytic gradients into every ``requires_grad`` leaf.
+tape: :func:`backward` walks it once in reverse topological order,
+accumulates exact analytic gradients into every ``requires_grad`` leaf and
+consumes the graph as it goes, so only the leaves keep gradients.
 
 Everything runs eagerly in float64. The fused ops, :func:`linear`,
 :func:`mlp` and :func:`attention_heads`, repeat the numpy calls of the
@@ -58,7 +59,8 @@ class Tensor:
     gradient contributions.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "op", "parents", "_backward")
+    __slots__ = ("values", "grad", "requires_grad", "op", "parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False, op: str = "leaf",
                  parents: tuple = (), backward=None):
@@ -182,14 +184,22 @@ def toposort(root: Tensor) -> list:
 
 
 def backward(loss: Tensor):
-    """Populate ``grad`` on every ``requires_grad`` ancestor of a scalar loss."""
+    """Populate ``grad`` on every ``requires_grad`` leaf of a scalar loss.
+
+    Consumes the graph: each interior node's gradient and closure (with the
+    arrays it holds) go once read, values and parents stay, and a second
+    pass through a consumed node raises ``RuntimeError``."""
     if loss.values.shape != ():
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.values.shape}")
     order = toposort(loss)
+    if any(n._backward is None and n.requires_grad and n.op != "leaf" for n in order):
+        raise RuntimeError("backward() through a graph an earlier backward() consumed")
     loss.grad = np.ones((), dtype=np.float64)
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad = node._backward = None
 
 
 def zero_grads(tensors):

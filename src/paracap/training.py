@@ -6,6 +6,8 @@ Videos are the batch unit so events inside each video stay sequential
 per batch over every event in the batch. While ``train`` runs, every
 parameter's values and gradient are views into one flat buffer each, so
 backward, clipping, Adam and the rollback all work on those buffers in place.
+A step's tape lives only until backward has consumed it: ``train`` then
+drops it, so the next batch and the epoch callback run without it.
 """
 
 from __future__ import annotations
@@ -161,8 +163,8 @@ def train(model, records, table, vocab, cfg: TrainConfig, loss_cfg: L.LossConfig
     last_good = state.values.copy()
     history = []
     log_fh = open(log_path, "w") if log_path else None
-    # Each step's tape is acyclic, so reference counting frees it; the
-    # cyclic collector would only rescan its live nodes, again and again.
+    # Each step's tape is acyclic, so reference counting frees it once nothing
+    # names it; the cyclic collector would only rescan its live nodes.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -175,10 +177,10 @@ def train(model, records, table, vocab, cfg: TrainConfig, loss_cfg: L.LossConfig
                 state.grads.fill(0.0)
                 batch = [records[vi] for vi in order[start:start + cfg.batch_size]]
                 forwards = [model.forward_video(rec, table, vocab) for rec in batch]
-                for fwd in forwards:
-                    for logits, targets in zip(fwd.logits, fwd.targets):
-                        correct += int((logits.values.argmax(axis=1) == targets).sum())
-                        total += targets.size
+                correct += sum(int((logits.values.argmax(axis=1) == targets).sum())
+                               for fwd in forwards
+                               for logits, targets in zip(fwd.logits, fwd.targets))
+                total += sum(targets.size for fwd in forwards for targets in fwd.targets)
                 loss, cap, con, taus = batch_loss(model, batch, forwards, vocab, loss_cfg)
                 cap_sum += float(cap.values) * len(taus)
                 tau_sum += sum(taus)
@@ -191,6 +193,7 @@ def train(model, records, table, vocab, cfg: TrainConfig, loss_cfg: L.LossConfig
                     raise NumericalError(
                         f"loss diverged at epoch {epoch}; parameters rolled back")
                 T.backward(loss)
+                del loss, cap, con, forwards   # the tape's last names; the sums above bind none
                 clip_gradients(params, GRAD_CLIP)
                 adam_step(params, state, cfg, warmup_steps)
             stats = EpochStats(epoch=epoch, l_cap=cap_sum / max(n_events, 1),

@@ -155,6 +155,35 @@ class TestBackward:
         T.backward(T.tsum(x + b))
         np.testing.assert_array_equal(b.grad, np.full(4, 3.0))
 
+    def test_backward_consumes_the_graph_and_keeps_leaf_gradients(self, rng):
+        x, w = leaf(rng.normal(size=(3, 4))), leaf(rng.normal(size=(4, 2)))
+        gain, bias = leaf(np.ones(2)), leaf(np.zeros(2))
+        h = T.layer_norm(x @ w, gain, bias)
+        loss = T.tsum(h * h * Tensor(rng.normal(size=(3, 2))) + h)
+        nodes = T.toposort(loss)
+        T.backward(loss)
+        assert [id(n) for n in T.toposort(loss)] == [id(n) for n in nodes]
+        interior = [n for n in nodes if n.op != "leaf"]
+        assert len(interior) == 6
+        for node in interior:
+            assert node.grad is None and node._backward is None, node.op
+            assert node.requires_grad and node.parents, node.op
+        for p in (x, w, gain, bias):
+            assert p.grad.shape == p.shape and (p.grad != 0.0).any()
+
+    def test_second_backward_through_a_consumed_node_raises(self):
+        # a silent second pass used to leave x.grad at 32, where two correct ones give 16
+        x = leaf(np.ones(3))
+        doubled = 2.0 * x
+        loss = T.tsum(doubled * doubled)
+        T.backward(loss)
+        np.testing.assert_array_equal(x.grad, np.full(3, 8.0))
+        with pytest.raises(RuntimeError):
+            T.backward(loss)
+        with pytest.raises(RuntimeError):
+            T.backward(T.tsum(doubled * Tensor(np.ones(3))))
+        np.testing.assert_array_equal(x.grad, np.full(3, 8.0))
+
     def test_masked_attention_ignores_masked_content(self, rng):
         # causal mask: row 1 sees keys 0-1, so key 2 is masked for it; with
         # identity rows and no biases each head's q, k and v are its weights

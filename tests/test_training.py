@@ -3,8 +3,10 @@
 import copy
 import gc
 import json
+import math
 import string
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -297,17 +299,53 @@ class TestTrainLoop:
             np.testing.assert_array_equal(snapshots[0][name],
                                           snapshots[1][name], err_msg=name)
 
-    def test_tape_is_freed_without_the_cycle_collector(self, tiny_setup):
+    def test_tape_is_freed_without_the_cycle_collector(self, tiny_setup, monkeypatch):
         # train() pauses the cyclic collector, which is only safe while no
         # step leaves a reference cycle behind; it turns the collector back on.
+        # Reference counting alone frees each step's loss and every other
+        # node of its tape before the next batch's forward and the callback.
+        # Batches of 8 hold both train videos and their contrastive term;
+        # batches of 1 give several steps per epoch.
         corpus, vocab, model = tiny_setup
-        gc.collect()
-        paused = []
-        train(model, corpus.train, corpus.table, vocab, quick_cfg(epochs=2),
-              LossConfig(), callback=lambda s: paused.append(not gc.isenabled()))
-        assert paused == [True, True]
-        assert gc.isenabled()
-        assert gc.collect() == 0
+        real_backward, real_batch_loss = T.backward, training.batch_loss
+        real_forward = model.forward_video
+        tapes, checks, paused = [], [], []
+
+        def recorded_backward(loss):
+            tapes.append([weakref.ref(n) for n in T.toposort(loss) if n.op != "leaf"])
+            real_backward(loss)
+
+        def previous_tape_is_dead():
+            return all(ref() is None for tape in tapes for ref in tape)
+
+        def checked(fn):
+            def run(*args, **kwargs):
+                checks.append(previous_tape_is_dead())
+                return fn(*args, **kwargs)
+            return run
+
+        def callback(_stats):
+            checks.append(previous_tape_is_dead())
+            paused.append(not gc.isenabled())
+
+        monkeypatch.setattr(T, "backward", recorded_backward)
+        monkeypatch.setattr(training, "batch_loss", checked(real_batch_loss))
+        monkeypatch.setattr(model, "forward_video", checked(real_forward))
+        n_videos = len(corpus.train)
+        for batch_size in (8, 1):
+            for record in (tapes, checks, paused):
+                record.clear()
+            gc.collect()
+            train(model, corpus.train, corpus.table, vocab,
+                  quick_cfg(epochs=2, batch_size=batch_size), LossConfig(),
+                  callback=callback)
+            steps = 2 * math.ceil(n_videos / batch_size)
+            assert paused == [True, True]
+            assert len(tapes) == steps and all(tapes)
+            # one check per forward_video, per batch_loss and per callback
+            assert len(checks) == 2 * n_videos + steps + 2 and all(checks)
+            assert gc.isenabled()
+            assert gc.collect() == 0, batch_size
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergent_run_raises_and_leaves_finite_params(self):
