@@ -42,12 +42,15 @@ def atomic_write(path: str):
 
 
 def read_json_object(path: str, what: str, required=()) -> dict:
-    """Parse a JSON file whose top level is an object with the ``required`` keys."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+    """Parse a UTF-8 JSON file whose top level is an object with the ``required`` keys."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:   # UTF-8 whatever the locale, as the manifest reader does
+        payload = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: {what} must be a JSON object")
     for key in required:

@@ -8,7 +8,9 @@ encoder.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -23,7 +25,7 @@ from .losses import RHO_INIT
 from .nn import MLP, Embedding, collect_params
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -221,8 +223,10 @@ class CaptionModel:
         payload = {
             "format_version": CHECKPOINT_VERSION,
             "config": dict(asdict(self.config), vocab_tokens=list(vocab_tokens)),
+            # each parameter's little-endian float64 bytes, row-major, in base64
             "params": {
-                name: {"shape": list(p.values.shape), "values": p.values.ravel().tolist()}
+                name: {"shape": list(p.values.shape),
+                       "values": base64.b64encode(p.values.astype("<f8").tobytes()).decode()}
                 for name, p in self.named_params().items()
             },
         }
@@ -258,16 +262,21 @@ class CaptionModel:
             if type(shape) is not list or not all(type(n) is int and n >= 0 for n in shape):
                 raise ValidationError(f"{path}: {name}: shape must be a list of "
                                       f"non-negative integers, got {shape!r}")
-            # bools and numeric strings would convert to floats without a word
-            if type(values) is not list or not set(map(type, values)) <= {int, float}:
-                raise ValidationError(f"{path}: {name}: values must be a list of numbers")
-            try:   # a value count that does not fit the shape fails the reshape
-                values = np.array(values, dtype=np.float64).reshape(shape)
-            except (OverflowError, ValueError) as exc:   # OverflowError: an int past 1e308
-                raise ValidationError(f"{path}: {name}: {exc}") from None
-            if values.shape != target.values.shape:
-                raise ShapeError(f"{path}: {name} has shape {values.shape}, "
+            if type(values) is not str:
+                raise ValidationError(f"{path}: {name}: values must be a base64 string")
+            try:
+                raw = base64.b64decode(values, validate=True)
+            except ValueError as exc:   # binascii.Error, or a non-ASCII character
+                raise ValidationError(f"{path}: {name}: values are not base64 ({exc})") from None
+            # exact integers: a huge shape must not wrap around to the byte count
+            if len(raw) != 8 * math.prod(shape):
+                raise ValidationError(f"{path}: {name}: {len(raw)} bytes do not fit "
+                                      f"shape {shape} of float64 values")
+            if tuple(shape) != target.values.shape:
+                raise ShapeError(f"{path}: {name} has shape {tuple(shape)}, "
                                  f"expected {target.values.shape}")
+            # astype copies into a writable, native-order array
+            values = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
             if not np.isfinite(values).all():
                 raise ValidationError(f"{path}: {name} holds a non-finite value")
             target.values = values

@@ -1,8 +1,15 @@
+import base64
+
 import numpy as np
 import pytest
 
 from paracap.data import SyntheticWorldSpec, build_vocab, generate_synthetic
 from paracap.model import CaptionModel, ModelConfig
+
+
+def encode(raw: bytes) -> str:
+    """Checkpoint ``values`` text for raw little-endian float64 bytes."""
+    return base64.b64encode(raw).decode()
 
 
 def build_setup(seed=0, spec_overrides=None, model_overrides=None):

@@ -1,18 +1,24 @@
 """Command-line pipeline, exercised in process through ``main(argv)``."""
 
+import base64
 import contextlib
 import inspect
 import io
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import encode
 from paracap import gradcheck
 from paracap.cli import build_parser, main
 from paracap.data import RESERVED, SyntheticWorldSpec, load_manifest, tokenize
@@ -75,17 +81,32 @@ WRONG = {
 }
 
 
+def is_base64(text):
+    try:
+        base64.b64decode(text, validate=True)
+    except ValueError:
+        return False
+    return True
+
+
 # checkpoint parameter entries: a shape must be a list of sizes and the
-# values a flat list of finite numbers
-_scalar = st.one_of(_text, st.booleans(), st.integers(), st.floats(), st.none())
+# values a strict base64 string of the parameter's float64 bytes; a tuple
+# holds a character spliced into the parameter's own encoding ("=" is not
+# among them: after a whole quad, b64decode skips a surplus one)
+_scalar = st.one_of(st.booleans(), st.integers(), st.floats(), st.none())
+_not_base64 = st.text(max_size=12).filter(lambda t: not is_base64(t))
 WRONG_ENTRY = {
     "shape": st.one_of(_text, st.booleans(), st.floats(), st.none(),
                        st.lists(st.one_of(_text, st.booleans(), st.floats(),
                                           st.integers(max_value=-1), st.none()),
                                 min_size=1, max_size=3)),
     "values": st.one_of(_scalar, st.dictionaries(_text, st.integers(), max_size=1),
-                        st.tuples(st.one_of(_text, st.booleans(), st.none(), _list))),
+                        st.lists(st.floats(), max_size=3), _not_base64,
+                        st.tuples(st.sampled_from(list(" \n!-_.:é\x00")))),
 }
+# float64 bit patterns with every exponent bit set: both infinities and every NaN
+_non_finite_bits = st.builds(lambda sign, mantissa: sign << 63 | 0x7FF << 52 | mantissa,
+                             st.integers(0, 1), st.integers(0, 2 ** 52 - 1))
 
 
 def edited_manifest(data_dir, path, edit):
@@ -528,28 +549,42 @@ class TestEvalAndDecode:
     def test_decode_rejects_a_non_finite_checkpoint(self, run_dir, data_dir,
                                                     tmp_path, capsys):
         ckpt = json.loads((run_dir / "checkpoint.json").read_text())
-        ckpt["params"]["decoder.head.w"]["values"][0] = float("nan")
-        bad = tmp_path / "nan.json"
-        bad.write_text(json.dumps(ckpt))
-        args = self.eval_args(run_dir, data_dir, tmp_path / "out")
-        args[args.index("--checkpoint") + 1] = str(bad)
-        assert main(["decode"] + args) == 2
-        err = capsys.readouterr().err
-        assert "nan.json: decoder.head.w holds a non-finite value" in err
-        assert not (tmp_path / "out").exists()
+        raw = base64.b64decode(ckpt["params"]["decoder.head.w"]["values"])
+        for bad_value in (math.nan, math.inf, -math.inf):
+            ckpt["params"]["decoder.head.w"]["values"] = encode(
+                np.float64(bad_value).tobytes() + raw[8:])
+            bad = tmp_path / "nan.json"
+            bad.write_text(json.dumps(ckpt))
+            args = self.eval_args(run_dir, data_dir, tmp_path / "out")
+            args[args.index("--checkpoint") + 1] = str(bad)
+            assert main(["decode"] + args) == 2
+            err = capsys.readouterr().err
+            assert "nan.json: decoder.head.w holds a non-finite value" in err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit, message", [
         ({"format_version": True}, "format_version True unsupported"),
         ({"format_version": 1.0}, "format_version 1.0 unsupported"),
+        # the JSON-number payload of earlier checkpoints is not read
+        ({"format_version": 1}, "format_version 1 unsupported (expected 2)"),
         ({"modalities": ["bogus"]}, "bad.json: config: modalities must be"),
         # 2 snippets + BOS + 64 decoded tokens outgrow the trained max_pos
         ({"max_len": 64}, "rows, more than max_pos"),
-    ], ids=["version-true", "version-float", "modality", "max-len"])
+        # 2**64 values, a count that wraps to 0 in int64 arithmetic
+        ({"shape": [2 ** 32, 2 ** 32]},
+         "decoder.head.w: 1152 bytes do not fit shape [4294967296, 4294967296]"),
+        # 2**64 + 144 values wrap in int64 to the 144 the file holds
+        ({"shape": [2 ** 60 + 9, 16]},
+         "decoder.head.w: 1152 bytes do not fit shape [1152921504606846985, 16]"),
+    ], ids=["version-true", "version-float", "version-1", "modality", "max-len",
+            "huge-shape", "wrapping-shape"])
     def test_bad_checkpoint_is_rejected_before_any_output(
             self, run_dir, data_dir, tmp_path, capsys, edit, message):
         ckpt = json.loads((run_dir / "checkpoint.json").read_text())
         if "format_version" in edit:
             ckpt.update(edit)
+        elif "shape" in edit:
+            ckpt["params"]["decoder.head.w"].update(edit)
         else:
             ckpt["config"].update(edit)
         bad = tmp_path / "bad.json"
@@ -756,6 +791,30 @@ class TestFileSystemBoundary:
         assert "latin.jsonl:2: not UTF-8 text" in err, err
         assert not (tmp_path / "out").exists()
 
+    def test_table_is_read_as_utf8_under_an_ascii_locale(self, data_dir, tmp_path):
+        table = json.loads((data_dir / "table.json").read_text())
+        table["tokens"].append("café")
+        table["text_features"].append(table["text_features"][0])
+        path = tmp_path / "table.json"
+        path.write_bytes(json.dumps(table, ensure_ascii=False).encode("utf-8"))
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        script = ("import sys; from paracap.encoder import VocabEmbeddingTable; "
+                  "print(ascii(VocabEmbeddingTable.load(sys.argv[1]).tokens[-1]))")
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == ascii("café")
+
+    def test_table_that_is_not_utf8_exits_two(self, data_dir, tmp_path):
+        raw = (data_dir / "table.json").read_bytes()
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(raw.replace(b'"tokens": ["', b'"tokens": ["caf\xe9', 1))
+        code, err = run_main(self.train_args(data_dir, tmp_path / "out", table=bad))
+        assert code == 2, err
+        assert f"{bad}: not UTF-8 text" in err, err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", ["int", "list"])
     def test_checkpoint_vocabulary_of_non_strings_exits_two(self, run_dir, data_dir,
                                                             tmp_path, kind):
@@ -931,10 +990,11 @@ class TestConfigBoundary:
         names = sorted(json.loads((run_dir / "checkpoint.json").read_text())["params"])
         name = data.draw(st.sampled_from(names), label="parameter")
         value = data.draw(WRONG_ENTRY[key], label=key)
-        if key == "values" and isinstance(value, tuple):   # one bad element in the list
+        if key == "values" and isinstance(value, tuple):   # one bad character in the text
             def edit(params):
                 values = params[name]["values"]
-                values[data.draw(st.integers(0, len(values) - 1))] = value[0]
+                at = data.draw(st.integers(0, len(values)), label="at")
+                params[name]["values"] = values[:at] + value[0] + values[at:]
         else:
             def edit(params):
                 params[name][key] = value
@@ -950,24 +1010,26 @@ class TestConfigBoundary:
         name = data.draw(st.sampled_from(names), label="parameter")
 
         def edit(params):
-            values = params[name]["values"]
-            count = data.draw(st.integers(0, 2 * len(values) + 1).filter(
-                lambda n: n != len(values)), label="count")
-            params[name]["values"] = (values * 3)[:count]
+            raw = base64.b64decode(params[name]["values"])
+            count = data.draw(st.integers(0, 2 * len(raw) + 7).filter(
+                lambda n: n != len(raw)), label="byte count")
+            params[name]["values"] = encode((raw * 3)[:count])
 
         code, err = self.run_decode(run_dir, data_dir, scratch, edit)
         assert code == 2, err
         assert self.names_the_parameter(name, err), err
 
     @settings(deadline=None)
-    @given(data=st.data(), bad=_non_finite)
-    def test_checkpoint_non_finite_value(self, run_dir, data_dir, scratch, data, bad):
+    @given(data=st.data(), bits=_non_finite_bits)
+    def test_checkpoint_non_finite_value(self, run_dir, data_dir, scratch, data, bits):
         names = sorted(json.loads((run_dir / "checkpoint.json").read_text())["params"])
         name = data.draw(st.sampled_from(names), label="parameter")
 
         def edit(params):
-            values = params[name]["values"]
-            values[data.draw(st.integers(0, len(values) - 1), label="index")] = bad
+            raw = base64.b64decode(params[name]["values"])
+            at = 8 * data.draw(st.integers(0, len(raw) // 8 - 1), label="index")
+            params[name]["values"] = encode(raw[:at] + bits.to_bytes(8, "little")
+                                            + raw[at + 8:])
 
         code, err = self.run_decode(run_dir, data_dir, scratch, edit)
         assert code == 2, err

@@ -6,6 +6,7 @@ weight after the softmax — so "cannot see" means bitwise invariance, not
 just approximate invariance.
 """
 
+import base64
 import contextlib
 import copy
 import json
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import build_setup
+from conftest import build_setup, encode
 from paracap import decoder, gradcheck
 from paracap import tensor as T
 from paracap.data import BOS_ID, EOS_ID, Vocabulary
@@ -683,6 +684,11 @@ class TestLockstepDecode:
 class TestCheckpoint:
     def test_round_trip_restores_every_parameter_exactly(self, tmp_path):
         _, vocab, model = build_setup(seed=4)
+        # signed zero, the smallest subnormal and the float64 extremes survive
+        # the round trip bit for bit
+        w = model.named_params()["decoder.head.w"].values
+        w.flat[:4] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        model.named_params()["rho"].values[...] = -0.0
         path = str(tmp_path / "model.json")
         model.save_checkpoint(path, vocab_tokens=vocab.id_to_token)
         loaded, tokens = CaptionModel.load_checkpoint(path)
@@ -691,8 +697,11 @@ class TestCheckpoint:
         after = loaded.named_params()
         assert sorted(before) == sorted(after)
         for name, p in before.items():
-            np.testing.assert_array_equal(p.values, after[name].values,
-                                          err_msg=name)
+            got = after[name].values
+            assert got.shape == p.values.shape and got.tobytes() == p.values.tobytes(), name
+            # training and gradcheck write into parameters in place
+            assert got.dtype == np.float64 and got.dtype.isnative, name
+            assert got.flags.writeable and got.flags.c_contiguous, name
 
     def test_double_round_trip_produces_identical_files(self, tmp_path):
         _, vocab, model = build_setup(seed=4)
@@ -719,17 +728,33 @@ class TestCheckpoint:
         good = json.loads(path.read_text())
         name = "decoder.head.w"
         w = good["params"][name]
+        raw = base64.b64decode(w["values"])
+
+        def with_value(x, at=0):   # the encoding with one float64 replaced
+            return encode(raw[:8 * at] + np.float64(x).tobytes() + raw[8 * at + 8:])
+
         # each corruption is named with the file and the parameter (or the
         # config) instead of failing later or decoding garbage
-        for key, entry in ((name, dict(w, values=[float("nan")] + w["values"][1:])),
-                           ("rho", dict(good["params"]["rho"], values=[float("inf")])),
-                           (name, dict(w, values=w["values"][:-1])),
-                           (name, dict(w, values=["x"] + w["values"][1:])),
+        for key, entry in ((name, dict(w, values=with_value(np.nan))),
+                           ("rho", dict(good["params"]["rho"], values=encode(
+                               np.float64(np.inf).tobytes()))),
+                           ("rho", dict(good["params"]["rho"], values=encode(
+                               np.float64(-np.inf).tobytes()))),
+                           (name, dict(w, values=encode(raw[:-8]))),
+                           (name, dict(w, values=encode(raw[:-3]))),
+                           (name, dict(w, values=np.frombuffer(raw, "<f8").tolist())),
+                           (name, dict(w, values="!" + w["values"][1:])),
+                           (name, dict(w, values=w["values"] + "\n")),
                            (name, 3)):
             params = dict(good["params"], **{key: entry})
             path.write_text(json.dumps(dict(good, params=params)))
             with pytest.raises(ValidationError, match=rf"bad\.json: {key}"):
                 CaptionModel.load_checkpoint(str(path))
+        # a byte count that fits the stored shape, but not the model's
+        flat = dict(w, shape=[len(raw) // 8])
+        path.write_text(json.dumps(dict(good, params=dict(good["params"], **{name: flat}))))
+        with pytest.raises(ShapeError, match=rf"bad\.json: {name} has shape"):
+            CaptionModel.load_checkpoint(str(path))
         path.write_text(json.dumps(dict(good, config=3)))
         with pytest.raises(ValidationError, match=r"bad\.json: config must be"):
             CaptionModel.load_checkpoint(str(path))
