@@ -47,8 +47,7 @@ class EventMemory:
     ``rows[layer, e, p]`` is event e's state at position p, and
     ``lengths[e]`` its row count. A read past an event's last position gets
     that last row, so captions of different lengths still line up. An event
-    is stored whole by ``append``, or added with ``add`` and written row by
-    row with ``write``.
+    is added with ``add`` and its rows are written with ``write``.
     """
 
     def __init__(self, n_layers: int):
@@ -80,19 +79,6 @@ class EventMemory:
                 grown[:, :old[0], :old[1]] = self.rows
             self.rows = grown
         self.rows[layer, events, positions] = rows
-
-    def append(self, layer_states):
-        """Store one completed event; ``layer_states`` holds one (s, d) tensor per layer."""
-        if len(layer_states) != self.n_layers:
-            raise ShapeError(f"expected {self.n_layers} layer states, got {len(layer_states)}")
-        for h in layer_states:
-            if h.ndim != 2 or h.shape[0] == 0 or h.shape != layer_states[0].shape:
-                raise ShapeError(f"memory entries must be non-empty matrices of one shape, "
-                                 f"got shape {h.shape}")
-        s = layer_states[0].shape[0]
-        event = self.add([s])
-        for layer, h in enumerate(layer_states):
-            self.write(layer, event, np.arange(s), h.values)
 
     def rows_block(self, layer: int, n_events: int, positions) -> np.ndarray:
         """The rows at ``positions`` of the first ``n_events`` events at one

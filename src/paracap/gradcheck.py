@@ -32,84 +32,70 @@ def _weights(rng, shape):
     return Tensor(rng.normal(size=shape))
 
 
-def _away_from_zero(rng, shape, low=0.3, high=1.5):
-    signs = rng.choice([-1.0, 1.0], size=shape)
-    return signs * rng.uniform(low, high, size=shape)
+def _normal(*shape):
+    return lambda rng: rng.normal(size=shape)
+
+
+def _uniform(low, high, *shape):
+    return lambda rng: rng.uniform(low, high, size=shape)
+
+
+def _away_from_zero(*shape, low=0.3):
+    def draw(rng):
+        signs = rng.choice([-1.0, 1.0], size=shape)
+        return signs * rng.uniform(low, 1.5, size=shape)
+    return draw
+
+
+# (name, constant draws, output-weight shape, draw of x, op): each case checks
+# tsum(op(x, *constants) * w), drawing the constants in order, then w, then x
+_SINGLE_FORM_CASES = [
+    ("add", [_normal(4)], (3, 4), _normal(3, 4), lambda x, y: x + y),
+    ("sub", [_normal(3, 4)], (3, 4), _normal(3, 4), lambda x, y: y - x),
+    ("mul", [_normal(3, 1)], (3, 4), _normal(3, 4), lambda x, y: x * y),
+    ("neg", [], (5,), _normal(5), lambda x: -x),
+    ("matmul_left", [_normal(4, 2)], (3, 2), _normal(3, 4), T.matmul),
+    ("matmul_right", [_normal(3, 4)], (3, 2), _normal(4, 2), lambda x, a: T.matmul(a, x)),
+    ("transpose", [], (4, 3), _normal(3, 4), T.transpose),
+    ("reshape", [], (2, 6), _normal(3, 4), lambda x: T.reshape(x, (2, 6))),
+    ("concat", [_normal(2, 4)], (5, 4), _normal(3, 4), lambda x, y: T.concat([x, y], axis=0)),
+    ("stack", [_normal(4)], (3, 4), _normal(4), lambda x, y: T.stack([x, y, x], axis=0)),
+    ("take_rows", [], (4, 3), _normal(3, 3), lambda x: T.take_rows(x, [0, 2, 0, 1])),
+    ("l2_norm_rows", [], (3,), _away_from_zero(3, 4, low=0.5), T.l2_norm_rows),
+    ("exp", [], (4,), _normal(4), T.texp),
+    ("log", [], (4,), _uniform(0.4, 2.0, 4), T.tlog),
+    ("log_sigmoid", [], (5,), _normal(5), T.log_sigmoid),
+    ("clamp_min", [], (3, 4), _away_from_zero(3, 4), lambda x: T.clamp_min(x, 0.05)),
+    ("softmax", [], (3, 5), _normal(3, 5), T.softmax),
+    ("log_softmax", [], (3, 5), _normal(3, 5), T.log_softmax),
+    ("layer_norm_x", [_uniform(0.5, 1.5, 4), _normal(4)], (3, 4), _normal(3, 4), T.layer_norm),
+    ("layer_norm_affine", [_normal(3, 4), _normal(4)], (3, 4), _uniform(0.5, 1.5, 4),
+     lambda x, h, bias: T.layer_norm(h, x, bias)),
+]
+
+
+def _single_form(draws, w_shape, draw_x, op):
+    def build(rng):
+        consts = [Tensor(draw(rng)) for draw in draws]
+        w = _weights(rng, w_shape)
+        x = Tensor(draw_x(rng), requires_grad=True)
+        return lambda x: T.tsum(op(x, *consts) * w), x
+    return build
 
 
 def _primitive_cases():
-    """(name, builder) pairs; builder(rng) -> (scalar function, variable)."""
-
-    def case_add(rng):
-        y = Tensor(rng.normal(size=(4,)))
-        w = _weights(rng, (3, 4))
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        return lambda x: T.tsum((x + y) * w), x
-
-    def case_sub(rng):
-        y = Tensor(rng.normal(size=(3, 4)))
-        w = _weights(rng, (3, 4))
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        return lambda x: T.tsum((y - x) * w), x
-
-    def case_mul(rng):
-        y = Tensor(rng.normal(size=(3, 1)))
-        w = _weights(rng, (3, 4))
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        return lambda x: T.tsum(x * y * w), x
+    """(name, builder) pairs sorted by name; builder(rng) -> (scalar function,
+    variable). Cases whose objective has two terms, or whose x stands in for
+    several operands, are written out below."""
 
     def case_div(rng):
-        y = Tensor(_away_from_zero(rng, (3, 4)))
+        y = Tensor(_away_from_zero(3, 4)(rng))
         w = _weights(rng, (3, 4))
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
 
         def f(x):
             return T.tsum((x / y) * w) + T.tsum((1.0 / (x * x + 1.0)) * w)
         return f, x
-
-    def case_neg(rng):
-        w = _weights(rng, (5,))
-        x = Tensor(rng.normal(size=(5,)), requires_grad=True)
-        return lambda x: T.tsum(-x * w), x
-
-    def case_matmul_left(rng):
-        b = Tensor(rng.normal(size=(4, 2)))
-        w = _weights(rng, (3, 2))
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        return lambda x: T.tsum(T.matmul(x, b) * w), x
-
-    def case_matmul_right(rng):
-        a = Tensor(rng.normal(size=(3, 4)))
-        w = _weights(rng, (3, 2))
-        x = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        return lambda x: T.tsum(T.matmul(a, x) * w), x
-
-    def case_transpose(rng):
-        w = _weights(rng, (4, 3))
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        return lambda x: T.tsum(T.transpose(x) * w), x
-
-    def case_reshape(rng):
-        w = _weights(rng, (2, 6))
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        return lambda x: T.tsum(T.reshape(x, (2, 6)) * w), x
-
-    def case_concat(rng):
-        y = Tensor(rng.normal(size=(2, 4)))
-        w = _weights(rng, (5, 4))
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        return lambda x: T.tsum(T.concat([x, y], axis=0) * w), x
-
-    def case_stack(rng):
-        y = Tensor(rng.normal(size=(4,)))
-        w = _weights(rng, (3, 4))
-        x = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        return lambda x: T.tsum(T.stack([x, y, x], axis=0) * w), x
-
-    def case_take_rows(rng):
-        w = _weights(rng, (4, 3))
-        x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        return lambda x: T.tsum(T.take_rows(x, [0, 2, 0, 1]) * w), x
 
     def case_sum(rng):
         w = _weights(rng, (4,))
@@ -126,26 +112,6 @@ def _primitive_cases():
         def f(x):
             return T.tsum(T.tmean(x, axis=1, keepdims=True) * w) + T.tmean(x)
         return f, x
-
-    def case_l2_norm_rows(rng):
-        w = _weights(rng, (3,))
-        x = Tensor(_away_from_zero(rng, (3, 4), low=0.5), requires_grad=True)
-        return lambda x: T.tsum(T.l2_norm_rows(x) * w), x
-
-    def case_exp(rng):
-        w = _weights(rng, (4,))
-        x = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        return lambda x: T.tsum(T.texp(x) * w), x
-
-    def case_log(rng):
-        w = _weights(rng, (4,))
-        x = Tensor(rng.uniform(0.4, 2.0, size=(4,)), requires_grad=True)
-        return lambda x: T.tsum(T.tlog(x) * w), x
-
-    def case_log_sigmoid(rng):
-        w = _weights(rng, (5,))
-        x = Tensor(rng.normal(size=(5,)), requires_grad=True)
-        return lambda x: T.tsum(T.log_sigmoid(x) * w), x
 
     def case_gelu_mlp(rng):
         # x stands in for the input rows, then for w1, then for w2, then (as
@@ -206,36 +172,9 @@ def _primitive_cases():
                     + T.tsum(T.linear(rows_c, w_c, T.reshape(x, (12,))) * out_c))
         return f, x
 
-    def case_clamp_min(rng):
-        w = _weights(rng, (3, 4))
-        x = Tensor(_away_from_zero(rng, (3, 4)), requires_grad=True)
-        return lambda x: T.tsum(T.clamp_min(x, 0.05) * w), x
-
-    def case_softmax(rng):
-        w = _weights(rng, (3, 5))
-        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        return lambda x: T.tsum(T.softmax(x) * w), x
-
-    def case_log_softmax(rng):
-        w = _weights(rng, (3, 5))
-        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        return lambda x: T.tsum(T.log_softmax(x) * w), x
-
-    def case_layer_norm_x(rng):
-        gain = Tensor(rng.uniform(0.5, 1.5, size=(4,)))
-        bias = Tensor(rng.normal(size=(4,)))
-        w = _weights(rng, (3, 4))
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        return lambda x: T.tsum(T.layer_norm(x, gain, bias) * w), x
-
-    def case_layer_norm_affine(rng):
-        h = Tensor(rng.normal(size=(3, 4)))
-        bias = Tensor(rng.normal(size=(4,)))
-        w = _weights(rng, (3, 4))
-        x = Tensor(rng.uniform(0.5, 1.5, size=(4,)), requires_grad=True)
-        return lambda x: T.tsum(T.layer_norm(h, x, bias) * w), x
-
-    return [(name[5:], fn) for name, fn in sorted(locals().items()) if name.startswith("case_")]
+    cases = [(name[5:], fn) for name, fn in locals().items() if name.startswith("case_")]
+    cases += [(name, _single_form(*row)) for name, *row in _SINGLE_FORM_CASES]
+    return sorted(cases, key=lambda case: case[0])
 
 
 def run_primitive_checks() -> dict:

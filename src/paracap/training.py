@@ -52,13 +52,14 @@ class TrainConfig:
 
 class AdamState:
     """All parameters laid end to end in dict order in one buffer, with the
-    gradients and the first/second moments in the same layout, plus the
-    shared step counter. Each parameter's ``values`` and ``grad`` become
-    reshaped views into the first two buffers."""
+    gradients, the first/second moments and two scratch buffers for the
+    step in the same layout, plus the shared step counter. Each parameter's
+    ``values`` and ``grad`` become reshaped views into the first two buffers."""
 
     def __init__(self, params: dict):
         self.values = np.concatenate([p.values.ravel() for p in params.values()])
-        self.grads, self.m, self.v = (np.zeros_like(self.values) for _ in range(3))
+        self.grads, self.m, self.v, *self.scratch = (np.zeros_like(self.values)
+                                                     for _ in range(5))
         self.step = 0
         start = 0
         for p in params.values():
@@ -86,7 +87,8 @@ def adam_step(params: dict, state: AdamState, cfg: TrainConfig, warmup_steps: in
     The learning rate ramps linearly from zero over ``warmup_steps``
     optimizer steps, then stays constant. Weight decay is decoupled from
     the moment estimates. Every operation is elementwise, so running it
-    once over all parameters laid end to end changes no value.
+    once over all parameters laid end to end changes no value, and each one
+    writes into ``state``'s scratch buffers rather than a new array.
     """
     g = state.grads
     if not np.isfinite(g).all():
@@ -97,13 +99,18 @@ def adam_step(params: dict, state: AdamState, cfg: TrainConfig, warmup_steps: in
     lr = cfg.lr * min(1.0, t / warmup_steps) if warmup_steps > 0 else cfg.lr
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
-    m, v = state.m, state.v
+    m, v, (a, b) = state.m, state.v, state.scratch
     m *= BETA1
-    m += (1.0 - BETA1) * g
+    m += np.multiply(g, 1.0 - BETA1, out=a)
     v *= BETA2
-    v += (1.0 - BETA2) * g * g
-    update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-    state.values -= lr * (update + WEIGHT_DECAY * state.values)
+    v += np.multiply(np.multiply(g, 1.0 - BETA2, out=a), g, out=a)
+    denom = np.sqrt(np.divide(v, bc2, out=a), out=a)
+    denom += EPS
+    update = np.divide(np.divide(m, bc1, out=b), denom, out=b)
+    step = np.multiply(state.values, WEIGHT_DECAY, out=a)   # lr * (update + decay)
+    step += update
+    step *= lr
+    state.values -= step
 
 
 @dataclass

@@ -4,11 +4,13 @@ Usage: ``python tests/digest.py``
 
 Trains a small model for 3 epochs on a pinned synthetic world and prints
 one digest per parameter, per ``train_log.jsonl`` line, per held-out
-video's greedy token ids, and one for the saved checkpoint's bytes. Two
+video's greedy token ids, and one for the saved checkpoint's bytes. It
+then prints one digest per primitive gradient-check case, of the case's
+worst relative error as float64 bytes, sorted by case name. Two
 checkouts whose outputs must match bitwise (for example a refactor and
 its parent) print identical text. The script imports ``paracap`` from the
-``src/`` directory next to it and uses only the public model, training
-and data API, so the same file runs against older checkouts too.
+``src/`` directory next to it and uses only the public model, training,
+data and gradcheck API, so the same file runs against older checkouts too.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import hashlib
 import json
+import struct
 import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
 from paracap.data import SyntheticWorldSpec, build_vocab, generate_synthetic  # noqa: E402
+from paracap.gradcheck import run_primitive_checks  # noqa: E402
 from paracap.losses import LossConfig  # noqa: E402
 from paracap.model import CaptionModel, ModelConfig  # noqa: E402
 from paracap.training import TrainConfig, train  # noqa: E402
@@ -66,6 +70,8 @@ def main() -> int:
         ids = model.decode_video(rec, corpus.table)
         print(f"greedy {rec.video_id} {sha(json.dumps(ids).encode())}")
     print(f"checkpoint {sha(ckpt)}")
+    for name, err in sorted(run_primitive_checks().items()):
+        print(f"gradcheck {name} {sha(struct.pack('<d', err))}")
     return 0
 
 

@@ -41,6 +41,13 @@ def video_block(seed, n_rows):
     return Tensor(rng.normal(size=(n_rows, D)))
 
 
+def store(memory, layer_rows):
+    """Add one event to ``memory`` and write its (s, D) rows at every layer."""
+    event = memory.add([len(layer_rows[0])])
+    for layer, rows in enumerate(layer_rows):
+        memory.write(layer, event, np.arange(len(rows)), rows)
+
+
 def causal_join_mask(n_video, n_text):
     """``event_mask`` over one event's [snippet rows; text rows]."""
     positions = np.arange(n_video + n_text)
@@ -114,52 +121,33 @@ class TestEventMask:
 
 class TestEventMemory:
     def entry(self, n_rows, fill):
-        return Tensor(np.full((n_rows, D), float(fill)))
+        return np.full((n_rows, D), float(fill))
 
     def test_length_counts_stored_events(self):
         memory = EventMemory(2)
         assert len(memory) == 0
-        memory.append([self.entry(3, 1), self.entry(3, 2)])
-        memory.append([self.entry(4, 3), self.entry(4, 4)])
+        store(memory, [self.entry(3, 1), self.entry(3, 2)])
+        store(memory, [self.entry(4, 3), self.entry(4, 4)])
         assert len(memory) == 2
 
     def test_rejects_zero_layers(self):
         with pytest.raises(ValidationError):
             EventMemory(0)
 
-    def test_append_rejects_wrong_layer_count(self):
-        memory = EventMemory(2)
-        with pytest.raises(ShapeError):
-            memory.append([self.entry(3, 1)])
-
-    def test_append_rejects_vector_entries(self):
-        memory = EventMemory(1)
-        with pytest.raises(ShapeError):
-            memory.append([Tensor(np.zeros(D))])
-
-    def test_append_rejects_empty_entries_and_stores_nothing(self):
-        memory = EventMemory(2)
-        with pytest.raises(ShapeError, match="non-empty"):
-            memory.append([self.entry(3, 1), Tensor(np.zeros((0, D)))])
-        assert len(memory) == 0
-        memory.append([self.entry(2, 1), self.entry(2, 2)])
-        np.testing.assert_array_equal(memory.rows_block(1, 1, np.arange(2)), np.full((2, D), 2.0))
-
     def test_rows_at_clamps_shorter_events(self):
         memory = EventMemory(1)
-        short = Tensor(np.arange(2.0 * D).reshape(2, D))
-        long = Tensor(np.arange(5.0 * D).reshape(5, D) + 100.0)
-        memory.append([short])
-        memory.append([long])
+        short = np.arange(2.0 * D).reshape(2, D)
+        long = np.arange(5.0 * D).reshape(5, D) + 100.0
+        store(memory, [short])
+        store(memory, [long])
         rows = memory.rows_block(0, 2, np.array([3, 4]))   # position-major
-        np.testing.assert_array_equal(rows, [short.values[1], long.values[3],
-                                             short.values[1], long.values[4]])
+        np.testing.assert_array_equal(rows, [short[1], long[3], short[1], long[4]])
 
     def test_entries_are_detached_copies(self):
         memory = EventMemory(1)
-        state = Tensor(np.ones((3, D)))
-        memory.append([state])
-        state.values[:] = -7.0
+        state = np.ones((3, D))
+        store(memory, [state])
+        state[:] = -7.0
         np.testing.assert_array_equal(memory.rows_block(0, 1, np.array([0])),
                                       np.ones((1, D)))
 
@@ -173,7 +161,7 @@ class TestEventMemory:
         events = []
         for n_rows in lengths[:1 + seed % 5]:
             event = [rng.normal(size=(int(n_rows), D)) for _ in range(n_layers)]
-            memory.append([Tensor(rows) for rows in event])
+            store(memory, event)
             events.append(event)
             longest = max(len(e[0]) for e in events)
             for layer in range(n_layers):
@@ -190,7 +178,7 @@ class TestEventMemory:
         whole, grown = EventMemory(2), EventMemory(2)
         events = [[rng.normal(size=(n, D)) for _ in range(2)] for n in (3, 9, 1, 20)]
         for event in events:
-            whole.append([Tensor(rows) for rows in event])
+            store(whole, event)
         first = grown.add(np.zeros(len(events), dtype=np.intp))
         for p in range(20):   # position by position, the store growing as it fills
             for e, event in enumerate(events):
@@ -203,12 +191,6 @@ class TestEventMemory:
         for layer in range(2):
             np.testing.assert_array_equal(grown.rows_block(layer, 4, np.arange(22)),
                                           whole.rows_block(layer, 4, np.arange(22)))
-
-    def test_append_rejects_layers_of_different_lengths(self):
-        memory = EventMemory(2)
-        with pytest.raises(ShapeError, match="one shape"):
-            memory.append([self.entry(3, 1), self.entry(2, 1)])
-        assert len(memory) == 0
 
 
 class TestForwardEvent:
@@ -346,7 +328,7 @@ def ragged_memory(seed, n_events):
     rng = np.random.default_rng(seed)
     memory = EventMemory(1)
     for _ in range(n_events):
-        memory.append([Tensor(rng.normal(size=(int(rng.integers(1, 9)), D)))])
+        store(memory, [rng.normal(size=(int(rng.integers(1, 9)), D))])
     return memory
 
 
@@ -618,7 +600,7 @@ class TestLockstepDecode:
     def run_both(self, dec, videos, prior):
         memory = EventMemory(2)
         for event in prior:
-            memory.append([Tensor(rows) for rows in event])
+            store(memory, event)
         got = greedy_decode(dec, videos, memory, self.MAX_LEN)
         stored = [list(event) for event in prior]
         want = oracles.greedy_decode_events(dec, videos, stored, self.MAX_LEN)

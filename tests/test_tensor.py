@@ -454,8 +454,11 @@ class TestFiniteDifference:
         tree = ast.parse(inspect.getsource(T))
         recorded = {node.args[1].value for node in ast.walk(tree)
                     if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_make"}
+        cases = gradcheck._primitive_cases()
+        names = [name for name, _ in cases]
+        assert len(names) == len(set(names))   # a repeated name would drop a case
         checked = set()
-        for _, builder in gradcheck._primitive_cases():
+        for _, builder in cases:
             f, x = builder(np.random.default_rng(0))
             checked.update(node.op for node in T.toposort(f(x)))
         assert checked - {"leaf"} == recorded
