@@ -245,10 +245,10 @@ def greedy_decode(decoder: CaptionDecoder, videos, memory: EventMemory, max_len:
     last row; so an event's chunk runs only when every earlier event has
     fed the chunk's last position, in this step or before, or feeds its
     last row in this step. With equal snippet counts all events move
-    together; with ragged counts an event waits. Each event's ``h_bar``
-    rows of [snippets, BOS, tokens, EOS], or [snippets, BOS, tokens] at the
-    cap, are what ``forward_event`` would commit for that input, and are
-    written to ``memory`` as they are fed.
+    together; with ragged counts an event waits. An event that picks EOS
+    stops without feeding it and one at the cap feeds its last id, so the
+    ``h_bar`` rows of [snippets, BOS, tokens] that ``forward_event`` commits
+    are written to ``memory`` as they are fed.
     """
     if max_len < 1:
         raise ValidationError(f"max_len must be >= 1, got {max_len}")
@@ -270,10 +270,9 @@ def greedy_decode(decoder: CaptionDecoder, videos, memory: EventMemory, max_len:
                 if end > limit:   # the event waits
                     limit = min(limit, fed[t])
                     continue
-                final = bool(ids[t]) and (ids[t][-1] == EOS_ID or len(ids[t]) == max_len)
                 step.append(t)
-                last.append(final)
-                if not final:
+                last.append(len(ids[t]) == max_len)
+                if not last[-1]:
                     limit = end
             step, last = np.array(step), np.array(last)
             chunks = np.where(fed[step] == 0, n_video[step] + 1, 1)
@@ -301,7 +300,7 @@ def greedy_decode(decoder: CaptionDecoder, videos, memory: EventMemory, max_len:
                 for t, row in zip(going, logits):
                     ids[t].append(int(np.argmax(row)))
                     picked[t].append(row)
-            ended = set(step[last].tolist())
-            active = [t for t in active if t not in ended]
+            active = [t for t in active
+                      if fed[t] < n_video[t] + 1 + max_len and ids[t][-1:] != [EOS_ID]]
     return ([seq[:-1] if seq[-1] == EOS_ID else seq for seq in ids],
             [np.array(rows) for rows in picked])

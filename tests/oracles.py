@@ -314,7 +314,8 @@ def adam_step_concat(params, grads, state, cfg, warmup_steps):
 
 def greedy_decode_full(decoder, video_rows, memory, max_len):
     """Greedy decoding by full recompute: a teacher-forced pass over the
-    whole prefix per token, then one more to commit the event to memory.
+    whole prefix per token, then one more to commit [BOS] + ids, without
+    the trailing EOS, to memory.
 
     Returns (token ids without BOS or the trailing EOS, the logits row
     each id was picked from).
@@ -326,12 +327,10 @@ def greedy_decode_full(decoder, video_rows, memory, max_len):
             rows.append(logits.values[-1])
             ids.append(int(np.argmax(logits.values[-1])))
             if ids[-1] == EOS_ID:
+                ids.pop()
                 break
         decoder.forward_event(video_rows, ids, memory, update_memory=True)
-    out = ids[1:]
-    if out and out[-1] == EOS_ID:
-        out = out[:-1]
-    return out, rows
+    return ids[1:], rows
 
 
 def padded_rows_block(events, layer, start, s):
@@ -379,9 +378,9 @@ def greedy_decode_events(decoder, videos, stored, max_len):
     generated id as one row, attending to the keys and values every layer
     cached for the event's earlier rows. Each layer's readout selects
     among the earlier events' rows at the row's position
-    (``padded_rows_block``). ``stored`` holds the earlier events'
-    per-layer (s, d) arrays; each decoded event's ``h_bar`` rows of
-    [snippets, BOS, tokens, EOS], or [snippets, BOS, tokens] at the cap,
+    (``padded_rows_block``). An event that picks EOS stops without
+    feeding it. ``stored`` holds the earlier events' per-layer (s, d)
+    arrays; each decoded event's ``h_bar`` rows of [snippets, BOS, tokens]
     are appended to it. Returns, per event, the ids without BOS or the
     trailing EOS and the logit rows they were picked from.
     """
@@ -413,7 +412,8 @@ def greedy_decode_events(decoder, videos, stored, max_len):
                 logits = decoder.head(T.take_rows(h, [h.shape[0] - 1])).values[0]
                 rows.append(logits)
                 ids.append(int(np.argmax(logits)))
-                h = feed(no_rows, ids[-1], None, n_video + len(ids))
+                if ids[-1] != EOS_ID:
+                    h = feed(no_rows, ids[-1], None, n_video + len(ids))
             stored.append([np.concatenate(layer_rows, axis=0) for layer_rows in states])
             out.append(ids[:-1] if ids[-1] == EOS_ID else ids)
             picked.append(np.array(rows))

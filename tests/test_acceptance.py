@@ -34,13 +34,18 @@ def _verdict(number, ok, detail):
     assert ok, f"criterion {number}: {detail}"
 
 
-def _model_for(corpus, vocab, **overrides):
+def _model_for(corpus, vocab, nudge=0, **overrides):
+    """A model sized to ``corpus``, every initial weight scaled by
+    1 + nudge·2⁻⁵² (exactly 1 at nudge 0)."""
     first = corpus.train[0].events[0].snippets[0]
     d_agent = first.agents.shape[1] if first.agents.shape[0] else 10
     config = ModelConfig(d_env=first.env.shape[0], d_agent=d_agent,
                          d_frame=first.frame.shape[0],
                          vocab_size=len(vocab), **overrides)
-    return CaptionModel(config)
+    model = CaptionModel(config)
+    for p in model.named_params().values():
+        p.values *= 1.0 + nudge * 2.0 ** -52
+    return model
 
 
 def _corpus_vocab(spec):
@@ -50,13 +55,13 @@ def _corpus_vocab(spec):
     return corpus, vocab
 
 
-@pytest.fixture(scope="module")
-def overfit_run():
-    """Memorization run shared by the accuracy and separation checks."""
+def memorize(nudge=0):
+    """Criterion 5's memorization run, weights nudged as in ``_model_for``:
+    (corpus, vocab, model, per-epoch stats, training seconds)."""
     corpus, vocab = _corpus_vocab(SyntheticWorldSpec(
         n_videos=16, n_held_out=0, events_per_video=3,
         snippets_per_event=2, seed=5))
-    model = _model_for(corpus, vocab, d_emb=32, n_layers=2, n_heads=4,
+    model = _model_for(corpus, vocab, nudge, d_emb=32, n_layers=2, n_heads=4,
                        max_pos=24, seed=5)
     start = time.monotonic()
     stats = train(model, corpus.train, corpus.table, vocab,
@@ -65,6 +70,60 @@ def overfit_run():
                   LossConfig(), callback=lambda s: s.acc >= 0.98)
     elapsed = time.monotonic() - start
     return corpus, vocab, model, stats, elapsed
+
+
+def criterion5(run):
+    """Criterion 5 on a ``memorize`` run: (passed, the compared numbers)."""
+    corpus, vocab, model, stats, elapsed = run
+    n = {"accuracy": stats[-1].acc,
+         "bleu4": M.bleu4(decode_pairs(model, corpus.train, corpus.table, vocab)),
+         "epochs": len(stats), "seconds": elapsed, "vocab": len(vocab)}
+    ok = n["vocab"] <= 50 and n["accuracy"] >= 0.98 and n["bleu4"] >= 0.9 \
+        and n["epochs"] <= 300 and n["seconds"] < 300.0
+    return ok, n
+
+
+def criterion9(nudge=0):
+    """Criterion 9's alignment-against-plain-MLE comparison, weights nudged
+    as in ``_model_for``: (passed, the compared numbers)."""
+    def world(seed):
+        return _corpus_vocab(SyntheticWorldSpec(
+            n_agent_kinds=2, n_action_kinds=2, n_place_kinds=2,
+            n_videos=12, n_held_out=4, events_per_video=2,
+            snippets_per_event=2, max_agents=1, seed=seed))
+
+    # The alignment term pairs each event with its own caption, so a
+    # video that tells the same sentence twice would label identical
+    # texts as both match and mismatch. Keep the first three worlds
+    # whose videos all have distinct captions.
+    picked, seed = [], 300
+    while len(picked) < 3:
+        corpus, vocab = world(seed)
+        if all(len(set(ev.caption for ev in rec.events))
+               == len(rec.events) for rec in corpus.train):
+            picked.append((corpus, vocab))
+        seed += 1
+
+    scores = {True: [], False: []}
+    for i, (corpus, vocab) in enumerate(picked):
+        for use_contrastive in (True, False):
+            model = _model_for(corpus, vocab, nudge, d_emb=24, n_layers=1,
+                               n_heads=2, max_pos=24, seed=i)
+            train(model, corpus.train, corpus.table, vocab,
+                  TrainConfig(lr=2e-3, warmup_epochs=2, epochs=250,
+                              batch_size=1, seed=i),
+                  LossConfig(use_contrastive=use_contrastive))
+            scores[use_contrastive].append(M.bleu4(decode_pairs(
+                model, corpus.held_out, corpus.table, vocab)))
+    n = {"with_alignment": float(np.mean(scores[True])),
+         "plain": float(np.mean(scores[False]))}
+    return n["with_alignment"] >= n["plain"] - 0.02, n
+
+
+@pytest.fixture(scope="module")
+def overfit_run():
+    """Memorization run shared by the accuracy and separation checks."""
+    return memorize()
 
 
 class TestCriterion1:
@@ -177,15 +236,11 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_overfit_run_memorizes_the_corpus(self, overfit_run):
-        corpus, vocab, model, stats, elapsed = overfit_run
-        accuracy = stats[-1].acc
-        bleu = M.bleu4(decode_pairs(model, corpus.train, corpus.table, vocab))
-        ok = len(vocab) <= 50 and accuracy >= 0.98 and bleu >= 0.9 \
-            and len(stats) <= 300 and elapsed < 300.0
+        ok, n = criterion5(overfit_run)
         _verdict(5, ok,
-                 f"teacher-forced accuracy {accuracy:.4f} (≥0.98), train "
-                 f"BLEU-4 {bleu:.4f} (≥0.9) after {len(stats)} epochs in "
-                 f"{elapsed:.0f}s, vocab {len(vocab)}")
+                 f"teacher-forced accuracy {n['accuracy']:.4f} (≥0.98), train "
+                 f"BLEU-4 {n['bleu4']:.4f} (≥0.9) after {n['epochs']} epochs in "
+                 f"{n['seconds']:.0f}s, vocab {n['vocab']}")
 
 
 class TestCriterion6:
@@ -271,41 +326,10 @@ class TestCriterion8:
 
 class TestCriterion9:
     def test_alignment_loss_is_non_inferior_to_plain_mle(self):
-        def world(seed):
-            return _corpus_vocab(SyntheticWorldSpec(
-                n_agent_kinds=2, n_action_kinds=2, n_place_kinds=2,
-                n_videos=12, n_held_out=4, events_per_video=2,
-                snippets_per_event=2, max_agents=1, seed=seed))
-
-        # The alignment term pairs each event with its own caption, so a
-        # video that tells the same sentence twice would label identical
-        # texts as both match and mismatch. Keep the first three worlds
-        # whose videos all have distinct captions.
-        picked, seed = [], 300
-        while len(picked) < 3:
-            corpus, vocab = world(seed)
-            if all(len(set(ev.caption for ev in rec.events))
-                   == len(rec.events) for rec in corpus.train):
-                picked.append((corpus, vocab))
-            seed += 1
-
-        scores = {True: [], False: []}
-        for i, (corpus, vocab) in enumerate(picked):
-            for use_contrastive in (True, False):
-                model = _model_for(corpus, vocab, d_emb=24, n_layers=1,
-                                   n_heads=2, max_pos=24, seed=i)
-                train(model, corpus.train, corpus.table, vocab,
-                      TrainConfig(lr=2e-3, warmup_epochs=2, epochs=250,
-                                  batch_size=1, seed=i),
-                      LossConfig(use_contrastive=use_contrastive))
-                scores[use_contrastive].append(M.bleu4(decode_pairs(
-                    model, corpus.held_out, corpus.table, vocab)))
-        with_alignment = float(np.mean(scores[True]))
-        plain = float(np.mean(scores[False]))
-        ok = with_alignment >= plain - 0.02
+        ok, n = criterion9()
         _verdict(9, ok,
-                 f"held-out BLEU-4 with alignment {with_alignment:.4f} ≥ "
-                 f"plain MLE {plain:.4f} − 0.02 over 3 seeds")
+                 f"held-out BLEU-4 with alignment {n['with_alignment']:.4f} ≥ "
+                 f"plain MLE {n['plain']:.4f} − 0.02 over 3 seeds")
 
 
 class TestCriterion10:

@@ -458,7 +458,7 @@ class TestGreedyDecode:
         assert out == [[], []]
         assert [rows.shape for rows in logits] == [(1, VOCAB), (1, VOCAB)]
         assert len(memory) == 2
-        np.testing.assert_array_equal(memory.lengths, [4, 5])   # snippets, BOS and EOS
+        np.testing.assert_array_equal(memory.lengths, [3, 4])   # snippets and BOS
 
     def test_all_equal_logits_tie_break_to_lowest_id(self):
         dec = make_decoder()
@@ -530,7 +530,7 @@ class TestIncrementalDecode:
             before = copy.deepcopy(memory)
             (ids,), (rows,) = greedy_decode(dec, [vid], memory, self.MAX_LEN)
             # the oracle commits forward_event(..., update_memory=True) on
-            # [BOS] + ids (+ EOS) to its copy of the memory
+            # [BOS] + ids to its copy of the memory
             replay = copy.deepcopy(before)
             want, want_rows = oracles.greedy_decode_full(dec, vid, replay, self.MAX_LEN)
 
@@ -541,7 +541,7 @@ class TestIncrementalDecode:
             for got_row, want_row in zip(rows, want_rows):
                 assert_close(got_row, want_row)
             assert len(memory) == len(replay) == i + 1
-            n_rows = n_video + 1 + len(ids) + (ending is not None)
+            n_rows = n_video + 1 + len(ids)
             assert memory.lengths[-1] == replay.lengths[-1] == n_rows
             for got, want_layer in zip(committed(memory, n_rows), committed(replay, n_rows)):
                 assert_close(got, want_layer)
@@ -642,6 +642,26 @@ class TestLockstepDecode:
             for got_event, want_event in zip(rows, want_rows):
                 for got, want in zip(got_event, want_event):
                     np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_memory_equals_the_teacher_forced_replay(self, seed):
+        # EOS spike at position 2: the 1-snippet event stops after one
+        # token, and the spike falls among the 4-snippet event's snippet
+        # rows, so that event runs to the cap, past the first event's rows
+        dec = eos_at(seed, 0, 2)
+        videos = [video_block(50 + seed, 1), video_block(60 + seed, 4)]
+        memory = EventMemory(2)
+        ids, logits = greedy_decode(dec, videos, memory, self.MAX_LEN)
+        assert [len(seq) for seq in ids] == [1, self.MAX_LEN]
+        replay = EventMemory(2)
+        with T.no_grad():
+            want = [dec.forward_event(rows, [BOS_ID] + seq, replay, update_memory=True)[0]
+                    for rows, seq in zip(videos, ids)]
+        np.testing.assert_array_equal(memory.lengths, replay.lengths)
+        for got_event, want_event in zip(stored_events(memory), stored_events(replay)):
+            for got, want_layer in zip(got_event, want_event):
+                assert np.abs(got - want_layer).max() <= 1e-12
+        assert np.abs(logits[1] - want[1].values[:self.MAX_LEN]).max() <= 1e-12
 
     @pytest.mark.parametrize("counts, passes", [((2, 2, 2, 2), 1 + MAX_LEN),
                                                 ((3, 2, 1), 1 + MAX_LEN),
