@@ -229,22 +229,18 @@ def _field(obj: dict, key: str, where: str):
 
 def _read_snippet(raw: dict, widths: dict) -> SnippetInput:
     """Snippet from its JSON fields; every entry must be a finite number and
-    each width the one ``widths`` holds from the file's first snippet (an
-    empty agents list carries no width)."""
+    each width the one ``widths`` holds from the file's first snippet (see
+    ``SnippetInput.widths``)."""
     for name, values in raw.items():
         require_finite_numbers(values, name)
     agents = np.asarray(raw["agents"], dtype=np.float64)
     if agents.ndim == 1 and agents.size == 0:
         agents = agents.reshape(0, 0)
     snippet = SnippetInput(env=raw["env"], agents=agents, frame=raw["frame"])
-    for name in ("env", "agents", "frame"):
-        values = getattr(snippet, name)
-        if name == "agents" and values.shape[0] == 0:
-            continue
-        width = widths.setdefault(name, values.shape[-1])
-        if values.shape[-1] != width:
-            raise ValidationError(f"{name} has width {values.shape[-1]}, "
-                                  f"earlier snippets have {width}")
+    for name, width in snippet.widths().items():
+        first = widths.setdefault(name, width)
+        if width != first:
+            raise ValidationError(f"{name} has width {width}, earlier snippets have {first}")
     return snippet
 
 

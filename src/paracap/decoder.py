@@ -45,9 +45,12 @@ class EventMemory:
     """Per-layer detached hidden states of stored events, in one padded store.
 
     ``rows[layer, e, p]`` is event e's state at position p, and
-    ``lengths[e]`` its row count. A read past an event's last position gets
-    that last row, so captions of different lengths still line up. An event
-    is added with ``add`` and its rows are written with ``write``.
+    ``lengths[e]`` its row count. ``write`` stores rows and records each
+    event's length as the highest position written plus one, so an event's
+    rows are written from position 0 without gaps. A read past an event's
+    last position gets that last row, so captions of different lengths
+    still line up. The store grows only in a dimension that overflows, to
+    at least twice its old size there.
     """
 
     def __init__(self, n_layers: int):
@@ -60,21 +63,16 @@ class EventMemory:
     def __len__(self) -> int:
         return self.lengths.size
 
-    def add(self, lengths) -> int:
-        """Add events with the given row counts and no rows written yet;
-        returns the index of the first."""
-        first = len(self)
-        self.lengths = np.concatenate([self.lengths, np.asarray(lengths, dtype=np.intp)])
-        return first
-
     def write(self, layer: int, events, positions, rows: np.ndarray):
         """Store (k, d) ``rows`` at one layer: row i as event ``events[i]``'s
         row at ``positions[i]``. The store grows to fit."""
-        need = (len(self), int(positions.max()) + 1)
-        if self.rows is None or need[0] > self.rows.shape[1] or need[1] > self.rows.shape[2]:
-            old = (0, 0) if self.rows is None else self.rows.shape[1:3]
-            grown = np.zeros((self.n_layers, max(need[0], 2 * old[0]),
-                              max(need[1], 2 * old[1]), rows.shape[1]))
+        need = (int(events.max()) + 1, int(positions.max()) + 1)
+        self.lengths = np.append(self.lengths, np.zeros(max(need[0] - len(self), 0), np.intp))
+        np.maximum.at(self.lengths, events, positions + 1)
+        old = (0, 0) if self.rows is None else self.rows.shape[1:3]
+        if need[0] > old[0] or need[1] > old[1]:
+            grown = np.zeros((self.n_layers, *(o if n <= o else max(n, 2 * o)
+                                               for n, o in zip(need, old)), rows.shape[1]))
             if self.rows is not None:
                 grown[:, :old[0], :old[1]] = self.rows
             self.rows = grown
@@ -209,8 +207,6 @@ class CaptionDecoder:
         positions = np.arange(n_video + len(token_ids))
         h = self.build_input(video_rows, token_ids, positions)
         events = np.full(positions.size, len(memory))
-        if update_memory:
-            memory.add([positions.size])
         mask = event_mask(events, positions, events, positions, positions >= n_video)
         h = self.run_layers(h, mask, memory, [{} for _ in self.layers], events, positions,
                             update_memory)
@@ -226,8 +222,8 @@ class CaptionDecoder:
 
 
 def greedy_decode(decoder: CaptionDecoder, videos, memory: EventMemory, max_len: int):
-    """Argmax decoding of a video's events, in lockstep; adds them to
-    ``memory`` in order.
+    """Argmax decoding of a video's events, in lockstep; stores them in
+    ``memory`` after the events it holds, in order.
 
     ``videos`` holds each event's (n, d) snippet rows. Returns, per event,
     the generated ids without BOS or the trailing EOS, and the (ids, vocab)
@@ -248,12 +244,13 @@ def greedy_decode(decoder: CaptionDecoder, videos, memory: EventMemory, max_len:
     together; with ragged counts an event waits. An event that picks EOS
     stops without feeding it and one at the cap feeds its last id, so the
     ``h_bar`` rows of [snippets, BOS, tokens] that ``forward_event`` commits
-    are written to ``memory`` as they are fed.
+    are written to ``memory`` as they are fed, and each write extends its
+    event's length.
     """
     if max_len < 1:
         raise ValidationError(f"max_len must be >= 1, got {max_len}")
     n_video = np.array([rows.shape[0] for rows in videos], dtype=np.intp)
-    first = memory.add(np.zeros(len(videos), dtype=np.intp))
+    first = len(memory)
     fed = np.zeros(len(videos), dtype=np.intp)   # rows fed per event
     ids = [[] for _ in videos]
     picked = [[] for _ in videos]                 # the logit row of each id
@@ -291,7 +288,6 @@ def greedy_decode(decoder: CaptionDecoder, videos, memory: EventMemory, max_len:
                                                               np.flatnonzero(text)])))
             keys = tuple(np.concatenate(pair) for pair in zip(keys, (events, positions, text)))
             fed[step] += chunks
-            memory.lengths[first + step] = fed[step]
             h = decoder.run_layers(h, event_mask(events, positions, *keys), memory, caches,
                                    first + events, positions, True)
             going = step[~last]

@@ -48,6 +48,12 @@ class SnippetInput:
         if self.frame.ndim != 1:
             raise ShapeError(f"frame must be a vector, got shape {self.frame.shape}")
 
+    def widths(self) -> dict:
+        """Each field's width, by field name; an agents matrix with no rows
+        carries none."""
+        return {name: getattr(self, name).shape[-1] for name in ("env", "agents", "frame")
+                if name != "agents" or self.agents.shape[0]}
+
 
 @dataclass
 class VocabEmbeddingTable:

@@ -228,20 +228,15 @@ def _tiny_world(seed: int):
 
 
 class _FrozenMemory(EventMemory):
-    """An event memory that replays ``base``: each added event reveals the
-    next event stored there, and written rows are ignored."""
+    """An event memory that replays ``base``: a write reveals the events
+    stored there up to the highest one written, and its rows are ignored."""
 
     def __init__(self, base: EventMemory):
         super().__init__(base.n_layers)
         self.rows, self._stored = base.rows, base.lengths
 
-    def add(self, lengths) -> int:
-        first = len(self)
-        self.lengths = self._stored[:first + len(lengths)]
-        return first
-
     def write(self, layer, events, positions, rows):
-        pass
+        self.lengths = self._stored[:events.max() + 1]
 
 
 def run_end_to_end_check(seed: int = SEED) -> dict:

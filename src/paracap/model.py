@@ -64,13 +64,10 @@ INPUT_FIELDS = {"d_env": ("env", None), "d_agent": ("agents", "agent"),
 
 
 def snippet_widths(snippet) -> dict:
-    """The input widths one snippet carries, by config key; an agents
-    matrix with no rows carries none."""
-    widths = {key: getattr(snippet, field).shape[-1]
-              for key, (field, _) in INPUT_FIELDS.items()}
-    if snippet.agents.shape[0] == 0:
-        del widths["d_agent"]
-    return widths
+    """The input widths one snippet carries (``SnippetInput.widths``), by
+    config key."""
+    widths = snippet.widths()
+    return {key: widths[field] for key, (field, _) in INPUT_FIELDS.items() if field in widths}
 
 
 def input_widths(records) -> dict:

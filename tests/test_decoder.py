@@ -42,10 +42,11 @@ def video_block(seed, n_rows):
 
 
 def store(memory, layer_rows):
-    """Add one event to ``memory`` and write its (s, D) rows at every layer."""
-    event = memory.add([len(layer_rows[0])])
+    """Write one event's (s, D) rows at every layer of ``memory``, after the
+    events it holds."""
+    events = np.full(len(layer_rows[0]), len(memory))
     for layer, rows in enumerate(layer_rows):
-        memory.write(layer, event, np.arange(len(rows)), rows)
+        memory.write(layer, events, np.arange(len(rows)), rows)
 
 
 def causal_join_mask(n_video, n_text):
@@ -179,18 +180,29 @@ class TestEventMemory:
         events = [[rng.normal(size=(n, D)) for _ in range(2)] for n in (3, 9, 1, 20)]
         for event in events:
             store(whole, event)
-        first = grown.add(np.zeros(len(events), dtype=np.intp))
         for p in range(20):   # position by position, the store growing as it fills
             for e, event in enumerate(events):
                 if p < len(event[0]):
                     for layer in range(2):
-                        grown.write(layer, np.array([first + e]), np.array([p]),
-                                    event[layer][p:p + 1])
-                    grown.lengths[first + e] = p + 1
+                        grown.write(layer, np.array([e]), np.array([p]), event[layer][p:p + 1])
         np.testing.assert_array_equal(grown.lengths, whole.lengths)
         for layer in range(2):
             np.testing.assert_array_equal(grown.rows_block(layer, 4, np.arange(22)),
                                           whole.rows_block(layer, 4, np.arange(22)))
+
+    def test_the_store_is_at_most_twice_what_it_holds(self):
+        corpus, vocab, model = build_setup(spec_overrides=dict(events_per_video=5,
+                                                               snippets_per_event=4))
+        taught = EventMemory(model.config.n_layers)
+        with T.no_grad():
+            model.forward_video(corpus.train[0], corpus.table, vocab, taught)
+        decoded = EventMemory(2)   # six events of 2 snippets, every caption at the cap
+        greedy_decode(eos_at(0, 0, None, max_pos=24), [video_block(70 + e, 2) for e in range(6)],
+                      decoded, 16)
+        assert (len(taught), len(decoded), decoded.lengths.max()) == (5, 6, 2 + 1 + 16)
+        for memory in (taught, decoded):
+            held = np.array([len(memory), memory.lengths.max()])
+            assert (np.array(memory.rows.shape[1:3]) <= 2 * held).all(), memory.rows.shape
 
 
 class TestForwardEvent:
